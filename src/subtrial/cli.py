@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,8 +95,7 @@ def _sweep_point(sc: Scenario, value: float):
 def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
     if sc.sweep is None:
         raise ScenarioError("scenario has no sweep block")
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(lambda v: _sweep_point(sc, v), sc.sweep.grid))
+    results = [_sweep_point(sc, v) for v in sc.sweep.grid]
     header = [
         "scenario", "param", "value", "T", "P", "standard_revenue", "inattentive_revenue",
         "profit", "utility", "ir_slack", "q_star", "lambda_eff",

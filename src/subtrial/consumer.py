@@ -22,6 +22,7 @@ uniform policy boost to attention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.special import expit, xlogy
@@ -40,6 +41,8 @@ class AttentionParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.lambda0, self.beta, self.gamma)):
+            raise DomainError(f"attention parameters must be finite, got {self}")
         if self.lambda0 <= 0.0:
             raise DomainError(f"lambda0 must be positive, got {self.lambda0}")
         if self.beta < 0.0:
@@ -96,6 +99,22 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
 def monitoring_objective(q: float, P: float, lam: float) -> float:
     """(1 - q) * P + H(q) / lam, the quantity optimal_q minimizes over q."""
     return (1.0 - q) * P + entropy(q) / lam
+
+
+def trial_terms(x: float) -> tuple[float, float, float]:
+    """Trial-condition terms at x = lam * P > 0: sigma'(x) = sigma(x) sigma(-x),
+    h(x) = -H(sigma(x)) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)),
+    and the zero-locus price pi(x) = h(x) / (x^2 sigma'(x)).  None is formed
+    as 1 - q, so all keep full relative precision where q* rounds to one; pi
+    has e^-x divided out, stays finite after it underflows, falls strictly
+    from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2."""
+    e = math.exp(-x)
+    log_term = math.log1p(e)
+    q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
+    neg_entropy = q * log_term + q_miss * (x + log_term)
+    log_ratio = log_term / e if e > 0.0 else 1.0
+    locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x)
+    return q * q_miss, neg_entropy, locus_price
 
 
 def q_derivatives(

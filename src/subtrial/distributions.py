@@ -215,16 +215,21 @@ class IfrReport:
 def check_ifr(dist: ValuationDistribution, window: PriceWindow, grid_n: int = 64) -> IfrReport:
     """Check that the hazard is weakly increasing across the window.
 
-    Returns a report rather than raising: callers use this as a diagnostic on
-    whether price first-order conditions are guaranteed a unique root.
+    Returns a report and never raises on the distribution: callers use this
+    as a diagnostic on whether price first-order conditions are guaranteed a
+    unique root.  Grid points whose survivor is at or below
+    ``SURVIVOR_FLOOR``, where the hazard is undefined, are skipped.
     """
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
-    grid = window.grid(grid_n)
-    rates = [dist.hazard(v) for v in grid]
-    for i in range(1, len(rates)):
-        if rates[i] < rates[i - 1] - IFR_STEP_TOL:
-            return IfrReport(is_ifr=False, first_violation=float(grid[i]), grid_n=grid_n)
+    points = []
+    for v in window.grid(grid_n):
+        surv = dist.survivor(v)
+        if surv > SURVIVOR_FLOOR:
+            points.append((float(v), dist.pdf(v) / surv))
+    for (_, before), (v, rate) in zip(points, points[1:]):
+        if rate < before - IFR_STEP_TOL:
+            return IfrReport(is_ifr=False, first_violation=v, grid_n=grid_n)
     return IfrReport(is_ifr=True, first_violation=None, grid_n=grid_n)
 
 

@@ -34,7 +34,7 @@ class CappedBranchError(SubtrialError, RuntimeError):
 
 
 class ConvergenceError(SubtrialError, RuntimeError):
-    """An iterative solve exceeded its iteration budget or cycled."""
+    """A root polish exceeded its iteration budget, or a joint solve has no fixed point."""
 
 
 class MonotonicityError(SubtrialError, RuntimeError):

@@ -24,6 +24,7 @@ never counts as a potential canceler, even at P = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
@@ -44,12 +45,12 @@ class Contract:
     P0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.T < 0.0:
-            raise DomainError(f"trial length must be nonnegative, got {self.T}")
+        if not (math.isfinite(self.T) and self.T >= 0.0):
+            raise DomainError(f"trial length must be finite and nonnegative, got {self.T}")
         if not (0.0 < self.P <= 1.0):
             raise DomainError(f"renewal price must lie in (0, 1], got {self.P}")
-        if self.P0 < 0.0:
-            raise DomainError(f"introductory price must be nonnegative, got {self.P0}")
+        if not (math.isfinite(self.P0) and self.P0 >= 0.0):
+            raise DomainError(f"introductory price must be finite and nonnegative, got {self.P0}")
 
 
 @dataclass(frozen=True)

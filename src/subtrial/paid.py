@@ -7,11 +7,12 @@ by continuity with the free-trial market.  Total profit factorizes as
     P_aug(T, P)  = P (1 - F(P)) + IR(T, P),
 
 so the renewal price and trial length solve the free-trial conditions
-unchanged, and on the uncapped branch the intro-price condition has the
-constant-elasticity closed form P0* = theta / (1 - theta) * P_aug for
-theta < 1 (zero fee otherwise).  The sign-up slope is negative while a
-longer trial raises P_aug, so the profit cross-partial in (T, P0) is
-negative: the two instruments are substitutes.
+unchanged: the intro price never feeds back into (T, P), and the joint
+optimum is the free-trial solve followed by the fee rule.  On the uncapped
+branch the intro-price condition has the constant-elasticity closed form
+P0* = theta / (1 - theta) * P_aug for theta < 1 (zero fee otherwise).  The
+sign-up slope is negative while a longer trial raises P_aug, so the profit
+cross-partial in (T, P0) is negative: the two instruments are substitutes.
 
 Shape warning: for theta < 1 the uncapped product alpha * (P0**(1-theta)
 + P_aug * P0**(-theta)) rises without bound as P0 grows, so the closed form
@@ -24,16 +25,13 @@ the cross-checks in the test suite pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .consumer import AttentionParams
 from .distributions import ValuationDistribution
-from .exceptions import CappedBranchError, ConvergenceError, DomainError, TrialBoundError
+from .exceptions import CappedBranchError, DomainError
 from .market import Contract, cancel_mass, inattentive_revenue, standard_revenue
-from .solver import SolverConfig, _inner_price, solve_trial
-
-CONTRACT_FIXED_POINT_TOL = 1e-8
-MAX_PASSES = 50
+from .solver import T_AT_ZERO, SolverConfig, joint_optimum
 
 
 @dataclass(frozen=True)
@@ -161,50 +159,30 @@ def joint_paid_optimum(
     model: SignupModel,
     config: SolverConfig | None = None,
 ) -> PaidTrialOptimum:
-    """Coordinate descent over (P, T, P0) to a joint fixed point.
+    """Joint optimum over (T, P, P0): the free-trial solve, then the fee rule.
 
-    The (T, P) block is the free-trial condition pair (the sign-up factor
-    multiplies out of both), then the intro price is set from the current
-    per-subscriber profit; passes repeat until the contract vector moves
-    less than 1e-8.  When the closed-form intro price lands on the capped
-    branch, profit there is increasing in P0 and the cap edge is taken.
+    The sign-up factor multiplies out of both free-trial conditions, so
+    (T, P) is the unconstrained ``joint_optimum`` (report_only mode whatever
+    the configuration says), and the intro price is set from the resulting
+    per-subscriber profit.  When the closed-form intro price lands on the
+    capped branch, profit there is increasing in P0 and the cap edge is
+    taken.
     """
     config = config or SolverConfig()
-    T, P, P0 = 0.0, (config.price_window.p_lo + config.price_window.p_hi) / 2.0, 0.0
-    t_corner = False
-    trail: list[tuple[float, float, float]] = []
-    for _ in range(MAX_PASSES):
-        price_sol = _inner_price(dist, params, T, config)
-        P_new = price_sol.price
-        try:
-            trial_sol = solve_trial(dist, params, P_new, config)
-            T_new = trial_sol.T
-            t_corner = trial_sol.at_zero
-        except TrialBoundError:
-            T_new, t_corner = config.t_max, False
-        aug = p_aug(dist, params, T_new, P_new)
-        P0_new, corner = optimal_intro_price(model, aug)
-        capped = False
-        if corner == "interior" and P0_new > 0.0 and signup_rate(model, P0_new) >= model.cap:
-            # closed form sits inside the capped region: profit rises with P0
-            # there, so move to the edge where the uncapped branch takes over
-            P0_new = model.cap_edge()
-            capped = True
-        moved = max(abs(T_new - T), abs(P_new - P), abs(P0_new - P0))
-        T, P, P0 = T_new, P_new, P0_new
-        trail.append((T, P, P0))
-        if moved <= CONTRACT_FIXED_POINT_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"paid-trial coordinate descent did not settle; last iterates {trail[-2:]}"
-        )
-    contract = Contract(T=T, P=P, P0=P0)
+    free = joint_optimum(dist, params, replace(config, participation_mode="report_only"))
+    P0, corner = optimal_intro_price(model, free.outcome.profit)
+    capped = False
+    if corner == "interior" and P0 > 0.0 and signup_rate(model, P0) >= model.cap:
+        # closed form sits inside the capped region: profit rises with P0
+        # there, so move to the edge where the uncapped branch takes over
+        P0 = model.cap_edge()
+        capped = True
+    contract = replace(free.contract, P0=P0)
     result = profit_paid(dist, params, model, contract)
     corner_label = "interior"
     if P0 == 0.0:
         corner_label = "p0_zero"
-    elif t_corner:
+    elif T_AT_ZERO in free.boundary_flags:
         corner_label = "t_zero"
     return PaidTrialOptimum(
         contract=contract,

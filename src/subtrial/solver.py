@@ -1,20 +1,23 @@
-"""Firm-side optimization: price and trial-length first-order conditions.
+"""Firm-side optimization: one solve on the (lambda_eff, P) plane.
 
 The price condition at a fixed trial length is the derivative of profit in P:
 
     [1 - F - P f]  +  (1 - q*) {F + P f}  -  P F lam q* (1 - q*) = 0 .
 
-The trial condition balances the price-weighted marginal inattentive revenue
-against the marginal utility harm of a longer trial:
+The trial condition g = P * dIR/dT - ir_slack balances the price-weighted
+marginal inattentive revenue against the marginal utility harm of a longer
+trial.  With x = lam(T) * P and h(x) = -H(sigma(x)) it factors as
 
-    g(T) = P * dIR/dT - ir_slack(T, P) ,      dIR/dT = P F(P) (-dq*/dT).
+    g(T, P) = (beta / (gamma * lambda0)) * F(P) * [P x^2 sigma'(x) - h(x)],
 
-``joint_optimum`` solves the two conditions as a system by coordinate
-iteration (price root at the current T, then trial root at the current P),
-which is the construction under which an interior solution has both
-residuals at zero.  Nesting a scalar maximization of market profit over T
-does not work here: profit is strictly increasing in T whenever beta > 0 and
-F(P) > 0, so any profit-grid over T just climbs to the cap.
+so g > 0 exactly when P > pi(x) = h(x) / (x^2 sigma'(x)).  pi falls strictly
+from +inf to 0, so the zero locus has an inverse x_g(P): lam(T) P = x_g(P).
+
+Both conditions depend on attention only through (lam_eff, P), so
+``joint_optimum`` solves once on that plane, maps lam_eff to T by the decay
+law, and returns the fixed point with the smallest T.  Maximizing profit
+over T instead does not work: profit is strictly increasing in T whenever
+beta > 0 and F(P) > 0, so it just climbs to the cap.
 
 Quantitative warning baked into the implementation (and verified by the test
 suite): g(0) is negative unless baseline sensitivity is large.  For uniform
@@ -26,15 +29,16 @@ beta and gamma, which pins the optimal price as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import ridder
 
-from .consumer import AttentionParams, effective_lambda, optimal_q, q_derivatives
+from .consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
 from .distributions import PriceWindow, ValuationDistribution, check_ifr
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
-from .market import Contract, MarketOutcome, cancel_mass, consumer_utility, ir_slack, profit
+from .market import Contract, MarketOutcome, cancel_mass, consumer_utility, profit
 
 T_AT_ZERO = "T_at_zero"
 T_AT_MAX = "T_at_max"
@@ -51,13 +55,15 @@ class SolverConfig:
     root_tol: float = 1e-10
     opt_tol: float = 1e-9
     participation_mode: str = "report_only"
-    max_iter: int = 200
+    max_iter: int = 200  # iterations of each bracketed root polish
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.root_tol <= 0.0 or self.opt_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.root_tol, self.opt_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.bracket_grid < 1 or self.max_iter < 1:
+            raise ValueError(f"bracket_grid and max_iter must be at least 1 in {self}")
         if self.participation_mode not in PARTICIPATION_MODES:
             raise ValueError(f"unknown participation mode {self.participation_mode!r}")
 
@@ -69,7 +75,6 @@ class PriceSolution:
     sign_changes: int
     roots: tuple[float, ...]
     ifr_ok: bool
-    at_edge: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,6 @@ class TrialSolution:
     T: float
     residual: float
     at_zero: bool
-    g_decreasing: bool
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,6 @@ class OptimalContract:
     foc_residuals: tuple[float, float]
     boundary_flags: frozenset[str]
     participation_satisfied: bool
-    iterations: int = 0
 
     @property
     def is_interior(self) -> bool:
@@ -96,7 +99,10 @@ class OptimalContract:
 
 def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P: float) -> float:
     """Marginal profit in P: standard margin plus the inattentive margin."""
-    lam = effective_lambda(params, T)
+    return _price_condition(dist, effective_lambda(params, T), P)
+
+
+def _price_condition(dist: ValuationDistribution, lam: float, P: float) -> float:
     q = optimal_q(P, lam).q_star
     F = cancel_mass(dist, P)
     f = dist.pdf(P)
@@ -106,11 +112,97 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:
-    """P * dIR/dT minus the marginal utility harm of lengthening the trial."""
-    lam = effective_lambda(params, T)
-    _, _, dq_dT = q_derivatives(P, lam, params, T)
-    dIR_dT = P * cancel_mass(dist, P) * (-dq_dT)
-    return P * dIR_dT - ir_slack(dist, params, Contract(T=T, P=P))
+    """P * dIR/dT minus the marginal utility harm of lengthening the trial.
+
+    Evaluated in the factored form of the module docstring, which keeps its
+    sign and relative precision where q* rounds to one.
+    """
+    mass = cancel_mass(dist, P)
+    if params.beta == 0.0 or mass == 0.0:
+        return 0.0
+    x = effective_lambda(params, T) * P
+    slope, neg_entropy, _ = trial_terms(x)
+    return params.beta / (params.gamma * params.lambda0) * mass * (P * x * x * slope - neg_entropy)
+
+
+def _trial_positive(dist: ValuationDistribution, params: AttentionParams, lam: float, P: float) -> bool:
+    """Sign of the trial condition at (lam, P): g > 0 exactly when P > pi(lam P)."""
+    return params.beta > 0.0 and cancel_mass(dist, P) > 0.0 and P > trial_terms(lam * P)[2]
+
+
+def _locus_x(P: float, config: SolverConfig) -> float:
+    """x_g(P), the x = lam P at which the trial condition vanishes at price P."""
+    hi = (1.0 + math.sqrt(1.0 + 12.0 * P)) / (2.0 * P)
+    return _polish(lambda x: trial_terms(x)[2] - P, 1.0 / P, hi, config)
+
+
+def _trial_length(params: AttentionParams, lam: float) -> float:
+    """Inverse of the decay law: the T at which lam(T) = lam."""
+    return (params.gamma * params.lambda0 / lam - 1.0) / params.beta
+
+
+def _polish(f, lo: float, hi: float, config: SolverConfig) -> float:
+    """Root of f in a sign-change bracket: Ridder's method to a step of
+    ``root_tol``, then one secant step across that last step, which takes a
+    smooth f's residual down to rounding.  Ridder's method at least halves
+    the bracket every iteration, so a jump of f across zero (at a density
+    kink) is located within ``max_iter`` iterations too."""
+    tol = config.root_tol
+    try:
+        root = float(ridder(f, lo, hi, xtol=tol, maxiter=config.max_iter))
+    except RuntimeError as exc:
+        raise ConvergenceError(
+            f"root polish on [{lo}, {hi}] did not converge in {config.max_iter} iterations"
+        ) from exc
+    a, b = max(lo, root - tol), min(hi, root + tol)
+    f_a, f_b = f(a), f(b)
+    if f_a * f_b < 0.0:
+        secant = a - f_a * (b - a) / (f_b - f_a)
+        if abs(f(secant)) < abs(f(root)):
+            root = secant
+    return root
+
+
+def _scan_roots(f, grid, config: SolverConfig) -> tuple[list[float], list[float]]:
+    """Every root of f at a sign change on the grid, polished, and the grid
+    values.  A sign change whose polish leaves a residual above ``root_tol``
+    is a jump of f across zero (at a density kink), not a root."""
+    vals = [f(t) for t in grid]
+    roots: list[float] = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            root = _polish(f, grid[i], grid[i + 1], config)
+            if abs(f(root)) <= config.root_tol:
+                roots.append(root)
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots, vals
+
+
+def _best_price(
+    dist: ValuationDistribution, lam: float, config: SolverConfig
+) -> tuple[float, tuple[float, ...], bool]:
+    """Best price at effective sensitivity lam, as (price, roots, at_edge): the
+    revenue-maximizing root of the price condition on the window scan, or,
+    without a sign change, the window edge its sign points to.  Raises
+    ``NoRootError`` when the condition changes sign only by jumps."""
+    w = config.price_window
+    grid = w.grid(config.bracket_grid + 1)
+    roots, vals = _scan_roots(lambda p: _price_condition(dist, lam, p), grid, config)
+    if not roots:
+        if min(vals) < 0.0 < max(vals):
+            raise NoRootError(
+                f"price condition at lambda_eff={lam} crosses zero on ({w.p_lo}, {w.p_hi}) "
+                f"only by jumps at density kinks, so no root gives the best price"
+            )
+        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
+
+    def revenue(p: float) -> float:
+        return p * dist.survivor(p) + p * cancel_mass(dist, p) * (1.0 - optimal_q(p, lam).q_star)
+
+    return max(roots, key=revenue), tuple(roots), False
 
 
 def solve_price(
@@ -127,68 +219,18 @@ def solve_price(
     report carries the IFR diagnostic alongside.
     """
     w = config.price_window
-    grid = w.grid(config.bracket_grid + 1)
-    vals = np.array([price_foc(dist, params, T, p) for p in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(
-                float(
-                    brentq(
-                        lambda p: price_foc(dist, params, T, p),
-                        grid[i],
-                        grid[i + 1],
-                        xtol=config.root_tol,
-                        rtol=4.0 * np.finfo(float).eps,
-                    )
-                )
-            )
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    ifr_ok = check_ifr(dist, w).is_ifr
+    price, roots, _ = _best_price(dist, effective_lambda(params, T), config)
     if not roots:
         raise NoRootError(
-            f"price condition has no sign change on ({w.p_lo}, {w.p_hi}) at T={T}; "
-            f"endpoint values {vals[0]:.3e}, {vals[-1]:.3e}"
+            f"price condition has no sign change on ({w.p_lo}, {w.p_hi}) at T={T}; endpoint values "
+            f"{price_foc(dist, params, T, w.p_lo):.3e}, {price_foc(dist, params, T, w.p_hi):.3e}"
         )
-    if len(roots) == 1:
-        best = roots[0]
-    else:
-        profits = [profit(dist, params, Contract(T=T, P=r)).profit for r in roots]
-        best = roots[int(np.argmax(profits))]
     return PriceSolution(
-        price=best,
-        residual=price_foc(dist, params, T, best),
+        price=price,
+        residual=price_foc(dist, params, T, price),
         sign_changes=len(roots),
-        roots=tuple(roots),
-        ifr_ok=ifr_ok,
-    )
-
-
-def _price_by_profit_grid(
-    dist: ValuationDistribution,
-    params: AttentionParams,
-    T: float,
-    config: SolverConfig,
-) -> PriceSolution:
-    """Fallback: direct profit maximization over the window (grid + golden)."""
-    w = config.price_window
-    grid = w.grid(max(config.bracket_grid, 64) + 1)
-    profits = np.array([profit(dist, params, Contract(T=T, P=p)).profit for p in grid])
-    i = int(np.argmax(profits))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    best = _golden_max(lambda p: profit(dist, params, Contract(T=T, P=p)).profit, lo, hi, config.opt_tol)
-    at_edge = best - w.p_lo < 1e-6 or w.p_hi - best < 1e-6
-    return PriceSolution(
-        price=best,
-        residual=price_foc(dist, params, T, best),
-        sign_changes=0,
-        roots=(),
+        roots=roots,
         ifr_ok=check_ifr(dist, w).is_ifr,
-        at_edge=at_edge,
     )
 
 
@@ -218,39 +260,16 @@ def solve_trial(
 ) -> TrialSolution:
     """Trial length solving g(T) = 0, or the T = 0 corner when g(0) <= 0.
 
-    beta = 0 makes g identically zero and is reported as the corner.  Raises
-    ``TrialBoundError`` when g is still positive at t_max.  The bracket
-    monotonicity of g is sampled and reported as a diagnostic.
+    The root is closed-form, T = (gamma lambda0 P / x_g(P) - 1) / beta, with
+    g positive before it and negative after.  beta = 0 and F(P) = 0 make g
+    identically zero (the corner).  Raises ``TrialBoundError`` beyond t_max.
     """
-    if params.beta == 0.0:
-        return TrialSolution(T=0.0, residual=0.0, at_zero=True, g_decreasing=True)
-    g = lambda t: trial_foc(dist, params, P, t)
-    g0 = g(0.0)
-    if g0 <= 0.0:
-        return TrialSolution(T=0.0, residual=g0, at_zero=True, g_decreasing=True)
-    hi = 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > config.t_max:
-            if g(config.t_max) > 0.0:
-                raise TrialBoundError(
-                    f"trial condition still positive at t_max={config.t_max} for P={P}"
-                )
-            hi = config.t_max
-            break
-    root = float(
-        brentq(g, 0.0, hi, xtol=config.root_tol, rtol=4.0 * np.finfo(float).eps)
-    )
-    samples = [g(t) for t in np.linspace(0.0, hi, 9)]
-    decreasing = all(samples[i + 1] <= samples[i] + 1e-12 for i in range(len(samples) - 1))
-    return TrialSolution(T=root, residual=g(root), at_zero=False, g_decreasing=decreasing)
-
-
-def _inner_price(dist, params, T, config) -> PriceSolution:
-    try:
-        return solve_price(dist, params, T, config)
-    except NoRootError:
-        return _price_by_profit_grid(dist, params, T, config)
+    if not _trial_positive(dist, params, effective_lambda(params, 0.0), P):
+        return TrialSolution(T=0.0, residual=trial_foc(dist, params, P, 0.0), at_zero=True)
+    T = _trial_length(params, _locus_x(P, config) / P)
+    if T > config.t_max:
+        raise TrialBoundError(f"trial condition still positive at t_max={config.t_max} for P={P}")
+    return TrialSolution(T=T, residual=trial_foc(dist, params, P, T), at_zero=False)
 
 
 def joint_optimum(
@@ -258,71 +277,74 @@ def joint_optimum(
     params: AttentionParams,
     config: SolverConfig | None = None,
 ) -> OptimalContract:
-    """Joint contract (T*, P*) from the two first-order conditions.
+    """Joint contract (T*, P*): the fixed point of the two conditions with the smallest T.
 
-    Coordinate iteration: price root at the current trial length, trial root
-    at the current price, until both residuals are inside ``root_tol`` (or
-    the matching boundary flag is set).  ``binding_ir`` mode instead
-    maximizes profit along the zero-utility locus.  ``interior`` and
-    ``report_only`` run the same unconstrained solve; participation is
+    Candidates on the (lambda_eff, P) plane are tried in T order: the T = 0
+    corner at the best price there, valid when g(0) <= 0; the price roots
+    along the g = 0 locus (scanned in x on ``bracket_grid`` cells) and the
+    locus points on the window edges, valid when the price is the best price
+    at that lambda_eff (a root is unique under an increasing hazard, so no
+    re-solve then); the T cap, valid when g is still positive there.  With
+    no valid candidate ``ConvergenceError`` names them.  ``binding_ir`` mode
+    instead maximizes profit along the zero-utility locus; ``interior`` and
+    ``report_only`` run the same unconstrained solve, and participation is
     evaluated and reported, never enforced.
     """
     config = config or SolverConfig()
     if config.participation_mode == "binding_ir":
         return _binding_ir_optimum(dist, params, config)
 
-    T = 0.0
-    flags: set[str] = set()
-    history: list[tuple[float, float]] = []
-    for iteration in range(1, config.max_iter + 1):
-        price_sol = _inner_price(dist, params, T, config)
-        P = price_sol.price
-        try:
-            trial_sol = solve_trial(dist, params, P, config)
-            T_new = trial_sol.T
-            trial_corner = trial_sol.at_zero
-            at_max = False
-        except TrialBoundError:
-            T_new, trial_corner, at_max = config.t_max, False, True
-        price_res = price_foc(dist, params, T_new, P)
-        trial_res = trial_foc(dist, params, P, T_new)
-        price_ok = abs(price_res) <= config.root_tol or price_sol.at_edge
-        trial_ok = abs(trial_res) <= config.root_tol or (trial_corner and trial_res <= 0.0) or at_max
-        if price_ok and trial_ok:
-            T = T_new
-            flags = set()
-            if price_sol.at_edge:
-                flags.add(P_AT_WINDOW_EDGE)
-            if trial_corner:
-                flags.add(T_AT_ZERO)
-            if at_max:
-                flags.add(T_AT_MAX)
-            return _assemble(dist, params, T, P, price_res, trial_res, flags, iteration)
-        history.append((T_new, P))
-        if len(history) > 4 and _cycling(history):
-            raise ConvergenceError(
-                f"coordinate iteration cycles; last iterates {history[-2]} and {history[-1]}"
-            )
-        T = T_new
-    raise ConvergenceError(f"no convergence after {config.max_iter} iterations")
+    w = config.price_window
+    lam_hi = effective_lambda(params, 0.0)
+    P, _, at_edge = _best_price(dist, lam_hi, config)
+    if not _trial_positive(dist, params, lam_hi, P):
+        return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, at_edge)
+    lam_lo = effective_lambda(params, config.t_max)
+    ifr = check_ifr(dist, w).is_ifr
+    x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
+
+    def on_locus(x: float) -> float:
+        price = trial_terms(x)[2]
+        return _price_condition(dist, x / price, price)
+
+    roots, _ = _scan_roots(on_locus, np.geomspace(x_top, x_bottom, config.bracket_grid + 1), config)
+    points = [(x, trial_terms(x)[2], False) for x in roots]
+    points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
+    candidates = sorted(
+        ((x / p, p, edge) for x, p, edge in points if lam_lo <= x / p <= lam_hi),
+        key=lambda c: -c[0],
+    )
+
+    def is_best_price(lam: float, price: float, edge: bool) -> bool:
+        if ifr and not edge:
+            return True
+        same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
+        return abs(_best_price(dist, lam, config)[0] - price) <= same_root
+
+    for lam, price, edge in candidates:
+        if is_best_price(lam, price, edge):
+            return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
+    P, _, at_edge = _best_price(dist, lam_lo, config)
+    if _trial_positive(dist, params, lam_lo, P):
+        return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, at_edge)
+    tried = [(_trial_length(params, lam), price) for lam, price, _ in candidates]
+    raise ConvergenceError(
+        f"no fixed point: g(0) > 0 at the best price at T = 0, the locus candidates (T, P) "
+        f"{tried} are not best prices at their T, and g <= 0 at t_max"
+    )
 
 
-def _cycling(history: list[tuple[float, float]]) -> bool:
-    (t1, p1), (t2, p2), (t3, p3), (t4, p4) = history[-4:]
-    period_two = abs(t1 - t3) < 1e-14 and abs(t2 - t4) < 1e-14 and abs(t1 - t2) > 1e-10
-    return period_two
-
-
-def _assemble(dist, params, T, P, price_res, trial_res, flags, iterations) -> OptimalContract:
+def _assemble(dist, params, T, P, flags, at_edge) -> OptimalContract:
     contract = Contract(T=float(T), P=float(P))
     outcome = profit(dist, params, contract)
+    if at_edge:
+        flags = flags | {P_AT_WINDOW_EDGE}
     return OptimalContract(
         contract=contract,
         outcome=outcome,
-        foc_residuals=(float(price_res), float(trial_res)),
+        foc_residuals=(price_foc(dist, params, T, P), trial_foc(dist, params, P, T)),
         boundary_flags=frozenset(flags),
         participation_satisfied=bool(outcome.utility >= -1e-12),
-        iterations=iterations,
     )
 
 
@@ -344,16 +366,10 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
         if u_of_p(w.p_lo) < 0.0:
             return -np.inf, w.p_lo
         if u_of_p(w.p_hi) < 0.0:
-            hi = brentq(u_of_p, w.p_lo, w.p_hi, xtol=config.root_tol)
-        sub = SolverConfig(
-            price_window=PriceWindow(w.p_lo, max(hi, w.p_lo + 1e-9)),
-            t_max=config.t_max,
-            bracket_grid=config.bracket_grid,
-            root_tol=config.root_tol,
-            opt_tol=config.opt_tol,
-        )
-        sol = _inner_price(dist, params, T, sub)
-        return profit(dist, params, Contract(T=T, P=sol.price)).profit, sol.price
+            hi = _polish(u_of_p, w.p_lo, w.p_hi, config)
+        sub = replace(config, price_window=PriceWindow(w.p_lo, max(hi, w.p_lo + 1e-9)))
+        P = _best_price(dist, effective_lambda(params, T), sub)[0]
+        return profit(dist, params, Contract(T=T, P=P)).profit, P
 
     t_grid = np.linspace(0.0, config.t_max, 65)
     values = [best_at(t)[0] for t in t_grid]
@@ -369,9 +385,7 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
         flags.add(T_AT_ZERO)
     if config.t_max - T < 1e-9:
         flags.add(T_AT_MAX)
-    price_res = price_foc(dist, params, T, P)
-    trial_res = trial_foc(dist, params, P, T)
-    return _assemble(dist, params, T, P, price_res, trial_res, flags, 1)
+    return _assemble(dist, params, T, P, flags, False)
 
 
 def price_response_curve(

@@ -19,9 +19,7 @@ from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
 from .paid import intro_price_foc, optimal_intro_price, profit_paid, signup_rate
 from .scenario import Scenario
-from .solver import price_foc
-
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+from .solver import _golden_max, price_foc
 
 
 @dataclass(frozen=True)
@@ -30,23 +28,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
 
 
 def _rel_err(actual: float, expected: float) -> float:
@@ -103,7 +84,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
     worst = 0.0
     for P in (0.1, 0.35, 0.7, 1.0):
         for lam in (0.2, 1.0, 4.0):
-            numeric = _golden_min(lambda q: monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12)
+            numeric = _golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
             worst = max(worst, abs(optimal_q(P, lam).q_star - numeric))
     add("consumer", "closed_form_vs_direct_min", worst <= 1e-8, f"max |dq| {worst:.2e}")
     qs = np.linspace(0.05, 0.95, 7)

@@ -135,6 +135,14 @@ class TestIfrCheck:
         with pytest.raises(DomainError):
             check_ifr(Uniform(), PriceWindow(0.1, 0.9), grid_n=8)
 
+    @pytest.mark.parametrize("dist", [Uniform(0.0, 0.5), TruncatedWeibull(k=3.0, s=0.2)])
+    def test_skips_points_with_zero_survivor(self, dist):
+        # the hazard is undefined where the survivor vanishes; the diagnostic
+        # reports on the remaining points instead of raising
+        report = check_ifr(dist, PriceWindow(0.05, 0.95))
+        assert report.is_ifr
+        assert report.first_violation is None
+
 
 class TestLambdaCrit:
     @pytest.mark.parametrize(

@@ -99,8 +99,30 @@ class TestCliSolve:
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(bad), "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("attention", "lambda0", float("nan")),
+            ("attention", "beta", float("inf")),
+            ("attention", "gamma", float("inf")),
+            ("price_window", "p_lo", float("nan")),
+            ("solver", "bracket_grid", 0),
+            ("solver", "t_max", float("inf")),
+            ("solver", "root_tol", float("nan")),
+            ("contract", "T", float("nan")),
+            ("contract", "P0", float("inf")),
+        ],
+    )
+    def test_non_finite_and_degenerate_inputs_exit_1(self, tmp_path, block, key, value):
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record[block][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+
     def test_solver_failure_exit_code(self, tmp_path):
-        # competing price-root branches make the joint iteration cycle
+        # competing price-root branches leave the joint solve without a fixed point
         record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
         record["name"] = "cycling"
         record["distribution"] = {"family": "iso_elastic", "kappa": 0.05, "eps": 0.4, "v0": 0.1}

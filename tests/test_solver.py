@@ -158,7 +158,8 @@ class TestSolveTrial:
     def test_condition_decreasing_across_bracket(self):
         params = AttentionParams(7.0, 0.5)
         sol = solve_trial(U01, params, 0.49, CFG)
-        assert sol.g_decreasing
+        samples = [trial_foc(U01, params, 0.49, t) for t in np.linspace(0.0, 2.0 * sol.T, 9)]
+        assert all(b <= a + 1e-12 for a, b in zip(samples, samples[1:]))
 
     def test_cap_too_small_raises(self):
         # the interior root sits near 4.7 here; a unit cap cannot reach it
@@ -245,8 +246,9 @@ class TestJointOptimum:
 
     def test_competing_root_branches_raise_cycle_error(self):
         # decreasing-hazard tail with two price roots whose profit ranking
-        # depends on T: the coordinate iteration genuinely oscillates and
-        # the cycle guard must say so rather than spin
+        # depends on T: the best-price path jumps between the branches, so g
+        # changes sign without a zero and no candidate on the (lambda_eff, P)
+        # plane is a fixed point; the solve must say so
         dist = PiecewiseIsoElastic(kappa=0.05, eps=0.4, v0=0.1)
         cfg = SolverConfig(price_window=PriceWindow(0.15, 0.95))
         params = AttentionParams(12.0, 0.5, gamma=1.02)
@@ -262,6 +264,68 @@ class TestJointOptimum:
         assert opt.outcome.utility == pytest.approx(0.0, abs=1e-6)
         unconstrained = joint_optimum(U01, INTERIOR, CFG)
         assert opt.outcome.profit >= unconstrained.outcome.profit - 1e-9
+
+
+class TestSaturatedAttention:
+    # At lambda0 >= 80 the monitoring probability rounds to one at T = 0, so
+    # g(0) must be evaluated without forming 1 - q to keep its sign.
+
+    @pytest.mark.parametrize("lambda0", [80.0, 200.0])
+    def test_interior_optimum_where_q_rounds_to_one(self, lambda0):
+        opt = joint_optimum(U01, AttentionParams(lambda0, 0.5), CFG)
+        assert not opt.boundary_flags
+        assert opt.contract.P == pytest.approx(0.490380581548, abs=1e-9)
+        assert opt.contract.T == pytest.approx((lambda0 / 5.9327901263 - 1.0) / 0.5, rel=1e-8)
+
+    def test_trial_condition_at_zero_matches_high_precision(self):
+        import mpmath
+
+        with mpmath.workdps(50):
+            lambda0, beta, P = mpmath.mpf(80), mpmath.mpf("0.5"), mpmath.mpf("0.5")
+            q = 1 / (1 + mpmath.exp(-lambda0 * P))
+            dq_dT = P * q * (1 - q) * (-beta * lambda0)
+            neg_entropy = -(q * mpmath.log(q) + (1 - q) * mpmath.log(1 - q))
+            F = P
+            exact = float(P * (P * F * -dq_dT) - beta / lambda0 * neg_entropy * F)
+        value = trial_foc(U01, AttentionParams(80.0, 0.5), 0.5, 0.0)
+        assert value > 0.0
+        assert value == pytest.approx(exact, rel=1e-6)
+
+
+class TestSurvivorBeyondSupport:
+    # The window reaches where the survivor is zero, so the hazard is
+    # undefined at some scan points; the IFR diagnostic skips them.
+
+    def test_uniform_support_inside_window(self):
+        opt = joint_optimum(Uniform(0.0, 0.5), INTERIOR, CFG)
+        assert opt.contract.T == pytest.approx(0.017315, abs=1e-6)
+        assert opt.contract.P == pytest.approx(0.247390, abs=1e-6)
+        assert abs(opt.foc_residuals[0]) <= CFG.root_tol
+        assert abs(opt.foc_residuals[1]) <= CFG.root_tol
+
+    def test_weibull_survivor_underflow(self):
+        dist = TruncatedWeibull(k=3.0, s=0.2)
+        opt = joint_optimum(dist, INTERIOR, CFG)
+        T_or, P_or = joint_by_grid(dist, INTERIOR, CFG)
+        assert opt.contract.T == T_or == 0.0
+        assert abs(opt.foc_residuals[0]) <= CFG.root_tol
+        assert opt.foc_residuals[1] < 0.0
+        assert opt.contract.P == pytest.approx(P_or, abs=1e-6)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iter": 0}, {"bracket_grid": -3}, {"bracket_grid": 0}, {"t_max": math.inf},
+         {"root_tol": math.nan}],
+    )
+    def test_rejects_degenerate_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
+    def test_polish_budget_exhaustion_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            joint_optimum(U01, INTERIOR, SolverConfig(max_iter=1))
 
 
 class TestPriceResponseCurve:
