@@ -101,20 +101,20 @@ def monitoring_objective(q: float, P: float, lam: float) -> float:
     return (1.0 - q) * P + entropy(q) / lam
 
 
-def trial_terms(x: float) -> tuple[float, float, float]:
+def trial_terms(x: float) -> tuple[float, float, float, float]:
     """Trial-condition terms at x = lam * P > 0: sigma'(x) = sigma(x) sigma(-x),
     h(x) = -H(sigma(x)) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)),
-    and the zero-locus price pi(x) = h(x) / (x^2 sigma'(x)).  None is formed
-    as 1 - q, so all keep full relative precision where q* rounds to one; pi
-    has e^-x divided out, stays finite after it underflows, falls strictly
-    from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2."""
+    the zero-locus price pi(x) = h(x) / (x^2 sigma'(x)) and sigma(-x) = 1 - q*.
+    None is formed as 1 - q, so all keep full relative precision where q*
+    rounds to one; pi has e^-x divided out, stays finite after it underflows,
+    falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2."""
     e = math.exp(-x)
     log_term = math.log1p(e)
     q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
     neg_entropy = q * log_term + q_miss * (x + log_term)
     log_ratio = log_term / e if e > 0.0 else 1.0
     locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x)
-    return q * q_miss, neg_entropy, locus_price
+    return q * q_miss, neg_entropy, locus_price, q_miss
 
 
 def q_derivatives(

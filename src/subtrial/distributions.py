@@ -180,6 +180,12 @@ class TruncatedWeibull(ValuationDistribution):
         self._check_closed(v)
         return (1.0 - math.exp(-((v / self.s) ** self.k))) / self._mass()
 
+    def survivor(self, v: float) -> float:
+        """(e^-a - e^-b) / mass, a = (v/s)^k, b = (1/s)^k: precise in the tail."""
+        self._check_closed(v)
+        a, b = (v / self.s) ** self.k, (1.0 / self.s) ** self.k
+        return math.exp(-a) * -math.expm1(a - b) / self._mass()
+
     def pdf(self, v: float) -> float:
         self._check_open(v)
         z = v / self.s
@@ -233,6 +239,12 @@ def check_ifr(dist: ValuationDistribution, window: PriceWindow, grid_n: int = 64
     return IfrReport(is_ifr=True, first_violation=None, grid_n=grid_n)
 
 
+def argmax_bracket(grid, values) -> tuple[int, float, float]:
+    """Index of the largest value and the grid points either side (an end stays put)."""
+    i = int(np.argmax(values))
+    return i, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+
+
 def lambda_crit(
     dist: ValuationDistribution,
     window: PriceWindow,
@@ -246,19 +258,15 @@ def lambda_crit(
     global supremum would be infinite and useless as a threshold.
     """
     grid = window.grid(grid_n)
-    rates = np.array([dist.hazard(v) for v in grid])
-    i = int(np.argmax(rates))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_n - 1)]
+    rates = [dist.hazard(v) for v in grid]
+    i, lo, hi = argmax_bracket(grid, rates)
     # local refinement: three rounds of 3x zoom around the running maximizer
     best = float(rates[i])
     for _ in range(3):
         sub = np.linspace(lo, hi, 65)
-        sub_rates = np.array([dist.hazard(v) for v in sub])
-        j = int(np.argmax(sub_rates))
+        sub_rates = [dist.hazard(v) for v in sub]
+        j, lo, hi = argmax_bracket(sub, sub_rates)
         best = max(best, float(sub_rates[j]))
-        lo = sub[max(j - 1, 0)]
-        hi = sub[min(j + 1, len(sub) - 1)]
     if best > cap:
         raise UnboundedError(f"hazard supremum {best:.3e} exceeds cap {cap:.3e}")
     return best

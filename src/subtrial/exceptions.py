@@ -34,7 +34,7 @@ class CappedBranchError(SubtrialError, RuntimeError):
 
 
 class ConvergenceError(SubtrialError, RuntimeError):
-    """A root polish exceeded its iteration budget, or a joint solve has no fixed point."""
+    """A root polish ran out of iterations, or a solve has no fixed point or no acceptable price."""
 
 
 class MonotonicityError(SubtrialError, RuntimeError):

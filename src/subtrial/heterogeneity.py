@@ -35,10 +35,10 @@ class AttentionMixture:
             raise DomainError("mixture needs at least one atom")
         total = 0.0
         for lam, w in self.atoms:
-            if lam <= 0.0:
-                raise DomainError(f"sensitivities must be positive, got {lam}")
-            if w < 0.0:
-                raise DomainError(f"weights must be nonnegative, got {w}")
+            if not (math.isfinite(lam) and lam > 0.0):
+                raise DomainError(f"sensitivities must be positive and finite, got {lam}")
+            if not (math.isfinite(w) and w >= 0.0):
+                raise DomainError(f"weights must be nonnegative and finite, got {w}")
             total += w
         if abs(total - 1.0) > WEIGHT_TOL:
             raise DomainError(f"weights must sum to 1, got {total}")

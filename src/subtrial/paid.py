@@ -25,13 +25,14 @@ the cross-checks in the test suite pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .consumer import AttentionParams
+from .consumer import AttentionParams, effective_lambda, q_derivatives
 from .distributions import ValuationDistribution
 from .exceptions import CappedBranchError, DomainError
 from .market import Contract, cancel_mass, inattentive_revenue, standard_revenue
-from .solver import T_AT_ZERO, SolverConfig, joint_optimum
+from .solver import SolverConfig, joint_optimum
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class SignupModel:
     cap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.theta <= 0.0 or self.cap <= 0.0:
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.alpha, self.theta, self.cap)):
             raise DomainError(
-                f"alpha, theta, cap must be positive, got ({self.alpha}, {self.theta}, {self.cap})"
+                f"alpha, theta, cap must be positive and finite, got ({self.alpha}, {self.theta}, {self.cap})"
             )
 
     def cap_edge(self) -> float:
@@ -142,8 +143,6 @@ def cross_partial_check(
     contract: Contract,
 ) -> float:
     """Closed-form d2 Pi / dT dP0 = eta'(P0) * dP_aug/dT; <= 0, zero when capped or beta = 0."""
-    from .consumer import effective_lambda, q_derivatives
-
     slope = signup_slope(model, contract.P0)
     if slope == 0.0:
         return 0.0
@@ -177,18 +176,5 @@ def joint_paid_optimum(
         # there, so move to the edge where the uncapped branch takes over
         P0 = model.cap_edge()
         capped = True
-    contract = replace(free.contract, P0=P0)
-    result = profit_paid(dist, params, model, contract)
-    corner_label = "interior"
-    if P0 == 0.0:
-        corner_label = "p0_zero"
-    elif T_AT_ZERO in free.boundary_flags:
-        corner_label = "t_zero"
-    return PaidTrialOptimum(
-        contract=contract,
-        p_aug=result.p_aug,
-        signup_rate=result.signup_rate,
-        profit=result.profit,
-        corner=corner_label,
-        capped=capped,
-    )
+    # profit_paid labels the corner from the contract: P0 = 0, else T = 0 (t_zero)
+    return replace(profit_paid(dist, params, model, replace(free.contract, P0=P0)), capped=capped)

@@ -17,14 +17,15 @@ behave as expected: a boost raises utility and lowers inattentive revenue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .consumer import AttentionParams
-from .distributions import PiecewiseIsoElastic, ValuationDistribution
+from .distributions import PiecewiseIsoElastic, ValuationDistribution, argmax_bracket
 from .exceptions import DomainError
-from .market import Contract, MarketOutcome, standard_revenue
+from .market import Contract, MarketOutcome, standard_revenue, surplus_integral
 from .solver import (
     OptimalContract,
     SolverConfig,
@@ -42,8 +43,8 @@ class PolicyShock:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.gamma < 1.0:
-            raise DomainError(f"shock multiplier must be at least 1, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise DomainError(f"shock multiplier must be finite and at least 1, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -162,20 +163,13 @@ def mandatory_reminder_limit(
     With q* forced to one the inattentive channel is dead, the trial has no
     revenue role, and the firm solves max_P P (1 - F(P)) over the window.
     """
-    from .market import surplus_integral
-
     config = config or SolverConfig()
     w = config.price_window
     grid = w.grid(max(config.bracket_grid, 64) + 1)
-    revenues = [standard_revenue(dist, Contract(T=0.0, P=p)) for p in grid]
-    i = int(np.argmax(revenues))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    P = _golden_max(
-        lambda p: standard_revenue(dist, Contract(T=0.0, P=p)), lo, hi, config.opt_tol
-    )
-    contract = Contract(T=0.0, P=P)
-    std = standard_revenue(dist, contract)
+    revenue = lambda p: standard_revenue(dist, Contract(T=0.0, P=p))
+    _, lo, hi = argmax_bracket(grid, [revenue(p) for p in grid])
+    P = _golden_max(revenue, lo, hi, config.opt_tol)
+    std = revenue(P)
     outcome = MarketOutcome(
         standard_revenue=std,
         inattentive_revenue=0.0,
@@ -189,7 +183,7 @@ def mandatory_reminder_limit(
     if P - w.p_lo < 1e-6 or w.p_hi - P < 1e-6:
         flags.add("P_at_window_edge")
     return OptimalContract(
-        contract=contract,
+        contract=Contract(T=0.0, P=P),
         outcome=outcome,
         foc_residuals=(float("nan"), 0.0),
         boundary_flags=frozenset(flags),

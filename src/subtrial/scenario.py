@@ -10,6 +10,7 @@ the emitted record alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,6 @@ class Scenario:
     name: str
     distribution: ValuationDistribution
     attention: AttentionParams
-    price_window: PriceWindow
     solver: SolverConfig
     contract: Contract | None = None
     signup: SignupModel | None = None
@@ -45,6 +45,7 @@ class Scenario:
     sweep: SweepAxis | None = None
 
     def to_dict(self) -> dict:
+        window = self.solver.price_window
         record: dict = {
             "name": self.name,
             "distribution": self.distribution.to_spec(),
@@ -53,7 +54,7 @@ class Scenario:
                 "beta": self.attention.beta,
                 "gamma": self.attention.gamma,
             },
-            "price_window": {"p_lo": self.price_window.p_lo, "p_hi": self.price_window.p_hi},
+            "price_window": {"p_lo": window.p_lo, "p_hi": window.p_hi},
             "solver": {
                 "t_max": self.solver.t_max,
                 "bracket_grid": self.solver.bracket_grid,
@@ -132,8 +133,8 @@ def from_dict(record: dict) -> Scenario:
             if param not in SWEEP_PARAMS:
                 raise ScenarioError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
             grid = tuple(float(g) for g in sw["grid"])
-            if not grid:
-                raise ScenarioError("sweep grid must be nonempty")
+            if not grid or not all(math.isfinite(g) for g in grid):
+                raise ScenarioError("sweep grid must be nonempty and finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ScenarioError("sweep grid must be strictly increasing")
             sweep = SweepAxis(param=param, grid=grid)
@@ -141,7 +142,6 @@ def from_dict(record: dict) -> Scenario:
             name=str(_require(record, "name")),
             distribution=from_spec(dict(_require(record, "distribution"))),
             attention=attention,
-            price_window=window,
             solver=solver,
             contract=contract,
             signup=signup,

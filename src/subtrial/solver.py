@@ -17,7 +17,8 @@ Both conditions depend on attention only through (lam_eff, P), so
 ``joint_optimum`` solves once on that plane, maps lam_eff to T by the decay
 law, and returns the fixed point with the smallest T.  Maximizing profit
 over T instead does not work: profit is strictly increasing in T whenever
-beta > 0 and F(P) > 0, so it just climbs to the cap.
+beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
+stops that climb where utility, also a function of (lam_eff, P), is zero.
 
 Quantitative warning baked into the implementation (and verified by the test
 suite): g(0) is negative unless baseline sensitivity is large.  For uniform
@@ -30,15 +31,15 @@ beta and gamma, which pins the optimal price as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import ridder
 
 from .consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
-from .distributions import PriceWindow, ValuationDistribution, check_ifr
+from .distributions import PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, lambda_crit
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
-from .market import Contract, MarketOutcome, cancel_mass, consumer_utility, profit
+from .market import Contract, MarketOutcome, cancel_mass, profit, surplus_integral
 
 T_AT_ZERO = "T_at_zero"
 T_AT_MAX = "T_at_max"
@@ -121,7 +122,7 @@ def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T:
     if params.beta == 0.0 or mass == 0.0:
         return 0.0
     x = effective_lambda(params, T) * P
-    slope, neg_entropy, _ = trial_terms(x)
+    slope, neg_entropy, _, _ = trial_terms(x)
     return params.beta / (params.gamma * params.lambda0) * mass * (P * x * x * slope - neg_entropy)
 
 
@@ -198,11 +199,12 @@ def _best_price(
                 f"only by jumps at density kinks, so no root gives the best price"
             )
         return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
+    return max(roots, key=lambda p: _revenue(dist, lam, p)), tuple(roots), False
 
-    def revenue(p: float) -> float:
-        return p * dist.survivor(p) + p * cancel_mass(dist, p) * (1.0 - optimal_q(p, lam).q_star)
 
-    return max(roots, key=revenue), tuple(roots), False
+def _revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
+    """Profit at (lam, P): P (1 - F(P)) + P F(P) sigma(-lam P)."""
+    return P * (dist.survivor(P) + cancel_mass(dist, P) * trial_terms(lam * P)[3])
 
 
 def solve_price(
@@ -285,10 +287,11 @@ def joint_optimum(
     locus points on the window edges, valid when the price is the best price
     at that lambda_eff (a root is unique under an increasing hazard, so no
     re-solve then); the T cap, valid when g is still positive there.  With
-    no valid candidate ``ConvergenceError`` names them.  ``binding_ir`` mode
-    instead maximizes profit along the zero-utility locus; ``interior`` and
-    ``report_only`` run the same unconstrained solve, and participation is
-    evaluated and reported, never enforced.
+    no valid candidate ``ConvergenceError`` names them.  ``interior`` and
+    ``report_only`` run this unconstrained solve, and participation is
+    evaluated and reported, never enforced.  ``binding_ir`` mode instead
+    maximizes profit along the zero-utility locus, with the same flags, and
+    raises ``ConvergenceError`` when no price in the window is acceptable.
     """
     config = config or SolverConfig()
     if config.participation_mode == "binding_ir":
@@ -349,43 +352,56 @@ def _assemble(dist, params, T, P, flags, at_edge) -> OptimalContract:
 
 
 def _binding_ir_optimum(dist, params, config) -> OptimalContract:
-    """Profit maximum along the zero-utility locus U(T, P) = 0.
+    """Profit maximum along the zero-utility locus on the (lambda_eff, P) plane.
 
-    For each trial length the admissible price range is capped where the
-    average participation utility hits zero (utility is decreasing in P);
-    profit is maximized on the feasible range, then the trial length is
-    chosen by coarse grid plus golden refinement.
+    U = S(P) - P F(P) [sigma(-x) + h(x)/x], x = lam P, rises with lam while
+    profit falls, so each price takes the lowest lam in [lam(t_max), gamma
+    lambda0] with U >= 0 (gamma lambda0 when F(P) = 0 or beta = 0).  Prices
+    with U < 0 even at T = 0 are infeasible and need not form an interval.
+    The best scanned price is refined between its neighbours or the
+    feasibility edges beside it; those edges (at T = 0) are candidates too.
     """
     w = config.price_window
+    lam_lo, lam_hi = effective_lambda(params, config.t_max), effective_lambda(params, 0.0)
 
-    def best_at(T: float) -> tuple[float, float]:
-        def u_of_p(p: float) -> float:
-            return consumer_utility(dist, params, Contract(T=T, P=p))
+    def utility_at(P: float):
+        """U at price P as a function of x = lam P, with S(P) computed once."""
+        surplus, mass = surplus_integral(dist, P), cancel_mass(dist, P)
+        def utility(x: float) -> float:
+            _, neg_entropy, _, miss = trial_terms(x)
+            return surplus - P * mass * (miss + neg_entropy / x)
+        return utility
 
-        hi = w.p_hi
-        if u_of_p(w.p_lo) < 0.0:
-            return -np.inf, w.p_lo
-        if u_of_p(w.p_hi) < 0.0:
-            hi = _polish(u_of_p, w.p_lo, w.p_hi, config)
-        sub = replace(config, price_window=PriceWindow(w.p_lo, max(hi, w.p_lo + 1e-9)))
-        P = _best_price(dist, effective_lambda(params, T), sub)[0]
-        return profit(dist, params, Contract(T=T, P=P)).profit, P
+    def lowest_lam(P: float) -> float | None:
+        if cancel_mass(dist, P) == 0.0:
+            return lam_hi
+        utility = utility_at(P)
+        if utility(lam_hi * P) < 0.0:
+            return None
+        if utility(lam_lo * P) >= 0.0:  # the T cap; with beta = 0, lam_lo == lam_hi
+            return lam_lo
+        return _polish(utility, lam_lo * P, lam_hi * P, config) / P
 
-    t_grid = np.linspace(0.0, config.t_max, 65)
-    values = [best_at(t)[0] for t in t_grid]
-    i = int(np.argmax(values))
-    lo = t_grid[max(i - 1, 0)]
-    hi = t_grid[min(i + 1, len(t_grid) - 1)]
-    T = _golden_max(lambda t: best_at(t)[0], lo, hi, config.opt_tol)
-    if best_at(0.0)[0] >= best_at(T)[0]:
-        T = 0.0
-    _, P = best_at(T)
-    flags: set[str] = set()
-    if T == 0.0:
-        flags.add(T_AT_ZERO)
-    if config.t_max - T < 1e-9:
-        flags.add(T_AT_MAX)
-    return _assemble(dist, params, T, P, flags, False)
+    def revenue(P: float, lam: float | None) -> float:
+        return -math.inf if lam is None else _revenue(dist, lam, P)
+
+    def bracket_end(p: float) -> tuple[float, float]:
+        lam = lowest_lam(p)
+        if lam is None:  # the feasibility edge between p and the best price, at T = 0
+            return _polish(lambda q: utility_at(q)(lam_hi * q), grid[i], p, config), lam_hi
+        return float(p), lam
+
+    grid = w.grid(config.bracket_grid + 1)
+    i, lo, hi = argmax_bracket(grid, [revenue(p, lowest_lam(p)) for p in grid])
+    best = (float(grid[i]), lowest_lam(grid[i]))
+    if best[1] is None:
+        raise ConvergenceError(f"no price in ({w.p_lo}, {w.p_hi}) leaves utility nonnegative at T = 0")
+    ends = [bracket_end(lo), bracket_end(hi)]
+    P = _golden_max(lambda p: revenue(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
+    P, lam = max([*ends, best, (P, lowest_lam(P))], key=lambda c: revenue(*c))
+    T = 0.0 if lam == lam_hi else config.t_max if lam == lam_lo else _trial_length(params, lam)
+    flags = {T_AT_ZERO} if lam == lam_hi else {T_AT_MAX} if lam == lam_lo else set()
+    return _assemble(dist, params, T, P, flags, P in (w.p_lo, w.p_hi))
 
 
 def price_response_curve(
@@ -402,8 +418,6 @@ def price_response_curve(
     raises.  Pass ``assert_increasing`` to override the automatic hypothesis
     check.
     """
-    from .distributions import lambda_crit
-
     config = config or SolverConfig()
     curve = []
     for T in sorted(T_grid):

@@ -14,10 +14,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .consumer import effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
-from .distributions import PriceWindow, check_ifr, lambda_crit
+from .distributions import PiecewiseIsoElastic, PriceWindow, Uniform, check_ifr, lambda_crit
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
 from .paid import intro_price_foc, optimal_intro_price, profit_paid, signup_rate
+from .policy import PolicyShock, apply_shock
 from .scenario import Scenario
 from .solver import _golden_max, price_foc
 
@@ -39,7 +40,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
     checks: list[CheckResult] = []
     dist = scenario.distribution
     params = scenario.attention
-    window = scenario.price_window
+    window = scenario.solver.price_window
 
     def add(module: str, name: str, ok: bool, detail: str) -> None:
         checks.append(CheckResult(module=module, name=name, ok=bool(ok), detail=detail))
@@ -166,8 +167,6 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
         add("solver", "unique_root_under_ifr", True, "skipped: hazard not increasing")
 
     # --- policy ---
-    from .policy import PolicyShock, apply_shock
-
     shock = scenario.shock or PolicyShock(gamma=2.0)
     shocked = apply_shock(params, shock)
     scale_err = max(
@@ -239,8 +238,6 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
 
 def _smooth_point(dist, v: float, h: float) -> bool:
     """Skip finite differences across density kinks and support edges."""
-    from .distributions import PiecewiseIsoElastic, Uniform
-
     if isinstance(dist, PiecewiseIsoElastic) and abs(v - dist.v0) < 2 * h:
         return False
     if isinstance(dist, Uniform) and (abs(v - dist.a) < 2 * h or abs(v - dist.b) < 2 * h):

@@ -11,7 +11,7 @@ import numpy as np
 
 from subtrial.consumer import AttentionParams, monitoring_objective
 from subtrial.distributions import ValuationDistribution
-from subtrial.market import Contract, profit
+from subtrial.market import Contract, consumer_utility, profit
 from subtrial.solver import SolverConfig, trial_foc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -129,3 +129,48 @@ def joint_by_grid(
             hi = mid
     T = 0.5 * (lo + hi)
     return T, best_price_by_grid(dist, params, T, config, n)
+
+
+def binding_by_grid(
+    dist: ValuationDistribution,
+    params: AttentionParams,
+    config: SolverConfig,
+    n: int = 128,
+) -> tuple[float, float, float]:
+    """Brute-force ``binding_ir`` solve, returned as (T, P, profit).
+
+    At each price the trial is the longest one in [0, t_max] that leaves
+    utility nonnegative, by bisection on ``consumer_utility`` (utility falls
+    with T); a price with negative utility at T = 0 is infeasible.  Profit
+    along that trial is then maximized over the window by scan plus golden
+    refinement.  Raises AssertionError when no grid price is feasible.
+    """
+
+    def longest_trial(P: float) -> float | None:
+        utility = lambda T: consumer_utility(dist, params, Contract(T=T, P=P))
+        if utility(0.0) < 0.0:
+            return None
+        if utility(config.t_max) >= 0.0:
+            return config.t_max
+        lo, hi = 0.0, config.t_max
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if utility(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def value(P: float) -> float:
+        T = longest_trial(P)
+        return -math.inf if T is None else profit(dist, params, Contract(T=T, P=P)).profit
+
+    w = config.price_window
+    grid = np.linspace(w.p_lo, w.p_hi, n)
+    values = [value(p) for p in grid]
+    i = int(np.argmax(values))
+    if values[i] == -math.inf:
+        raise AssertionError("oracle found no price with nonnegative utility at T = 0")
+    P = golden_max(value, grid[max(i - 1, 0)], grid[min(i + 1, n - 1)])
+    P, best = max([(P, value(P)), (float(grid[i]), values[i])], key=lambda c: c[1])
+    return longest_trial(P), float(P), float(best)

@@ -113,6 +113,18 @@ class TestSurvivorIdentity:
         for v in np.linspace(0.0, 0.999, 21):
             assert dist.cdf(v) + dist.survivor(v) == pytest.approx(1.0, abs=1e-12)
 
+    def test_weibull_survivor_keeps_its_tail(self):
+        import mpmath
+
+        with mpmath.workdps(40):
+            k, s, v = 3, mpmath.mpf("0.2"), mpmath.mpf("0.7")
+            exact = (mpmath.exp(-((v / s) ** k)) - mpmath.exp(-((1 / s) ** k))) / (
+                1 - mpmath.exp(-((1 / s) ** k))
+            )
+        value = TruncatedWeibull(k=3.0, s=0.2).survivor(0.7)
+        assert value == pytest.approx(float(exact), rel=1e-12)
+        assert 2e-19 < value < 3e-19
+
     def test_iso_elastic_atom_at_one(self):
         assert ISO.atom_at_one == pytest.approx(0.3)
         assert ISO.survivor(1.0) == pytest.approx(0.3)

@@ -121,6 +121,38 @@ class TestCliSolve:
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize(
+        "command,name,edit",
+        [
+            ("policy", "interior_uniform", lambda r: r["shock"].update(gamma=float("nan"))),
+            ("paid", "paid_trial", lambda r: r["signup"].update(alpha=float("nan"))),
+            ("paid", "paid_trial", lambda r: r["signup"].update(theta=float("inf"))),
+            ("hetero", "hetero_spread", lambda r: r["mixture"]["atoms"][0].__setitem__(0, float("nan"))),
+            (
+                "sweep", "baseline_uniform",
+                lambda r: r.update(sweep={"param": "lambda0", "grid": [1.0, float("nan"), 3.0]}),
+            ),
+        ],
+        ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "mixture-atom-nan", "sweep-grid-nan"],
+    )
+    def test_non_finite_optional_blocks_exit_1(self, tmp_path, command, name, edit):
+        record = json.loads((SCENARIOS / f"{name}.json").read_text())
+        edit(record)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_infeasible_binding_participation_exit_code(self, tmp_path):
+        # no price in the window leaves consumers nonnegative utility even at T = 0
+        record = json.loads((SCENARIOS / "iso_elastic_curve.json").read_text())
+        record["attention"] = {"lambda0": 3.0, "beta": 0.5, "gamma": 1.0}
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--scenario", str(path), "--out", str(out), "--mode", "binding_ir"]) == 2
+
     def test_solver_failure_exit_code(self, tmp_path):
         # competing price-root branches leave the joint solve without a fixed point
         record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())

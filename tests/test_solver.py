@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import best_price_by_grid, joint_by_grid
+from oracles import best_price_by_grid, binding_by_grid, joint_by_grid
 from subtrial.consumer import AttentionParams, effective_lambda, optimal_q
 from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform
 from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
 from subtrial.solver import (
+    P_AT_WINDOW_EDGE,
     SolverConfig,
+    T_AT_MAX,
     T_AT_ZERO,
     joint_optimum,
     price_foc,
@@ -264,6 +266,101 @@ class TestJointOptimum:
         assert opt.outcome.utility == pytest.approx(0.0, abs=1e-6)
         unconstrained = joint_optimum(U01, INTERIOR, CFG)
         assert opt.outcome.profit >= unconstrained.outcome.profit - 1e-9
+
+
+BINDING = SolverConfig(participation_mode="binding_ir")
+ISO_BINDING = SolverConfig(price_window=PriceWindow(0.25, 0.9), participation_mode="binding_ir")
+
+# Seed-1 reoptimize draws (perfbench.workloads.model_draw) whose prices with
+# nonnegative utility at T = 0 do not form an interval starting at p_lo: the
+# sign pattern of U(0, P) along the price scan, then the draw.
+NON_INTERVAL_DRAWS = [
+    (
+        "+-+",
+        PiecewiseIsoElastic(kappa=0.04737756117818881, eps=0.44637068261543, v0=0.0914217505970818),
+        AttentionParams(lambda0=7.790325592857285, beta=0.12043345628667602, gamma=1.0061420008031123),
+        PriceWindow(p_lo=0.03845059539607655, p_hi=0.6347165342096067),
+    ),
+    (
+        "+-+",
+        PiecewiseIsoElastic(kappa=0.034031675996061814, eps=0.10282549133361313, v0=0.38369695059708187),
+        AttentionParams(lambda0=4.228022410341279, beta=0.013709166590433934, gamma=1.9427216771407707),
+        PriceWindow(p_lo=0.1076176413678562, p_hi=0.8931713447052335),
+    ),
+    (
+        "-+",
+        PiecewiseIsoElastic(kappa=0.03995461320173226, eps=0.602907795860362, v0=0.16417695059708168),
+        AttentionParams(lambda0=8.649661058233226, beta=0.01502523459145427, gamma=1.0178055086030833),
+        PriceWindow(p_lo=0.18483657627909883, p_hi=0.8156203242970703),
+    ),
+]
+
+
+class TestBindingParticipation:
+    # binding_ir: at each price the longest trial that leaves utility
+    # nonnegative, then the best price; checked against binding_by_grid.
+
+    def test_feasibility_edge_is_returned_exactly_at_t_zero(self):
+        opt = joint_optimum(U01, CORNER, BINDING)
+        assert opt.contract.T == 0.0
+        assert opt.boundary_flags == {T_AT_ZERO}
+        assert opt.contract.P == pytest.approx(0.4064688709, abs=1e-7)
+        assert opt.outcome.profit == pytest.approx(0.2920172845, abs=1e-9)
+        assert abs(opt.outcome.utility) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dist,T,P", [(U01, 13.2408550, 0.4633474200), (TruncatedWeibull(2.0, 0.5), 13.3937346, 0.3504315)]
+    )
+    def test_interior_point_of_the_zero_utility_locus(self, dist, T, P):
+        opt = joint_optimum(dist, INTERIOR, BINDING)
+        assert not opt.boundary_flags
+        assert opt.contract.T == pytest.approx(T, rel=1e-6)
+        assert opt.contract.P == pytest.approx(P, abs=1e-7)
+        assert abs(opt.outcome.utility) <= 1e-12
+        T_or, P_or, profit_or = binding_by_grid(dist, INTERIOR, BINDING)
+        assert opt.outcome.profit >= profit_or - 1e-12
+        assert opt.contract.P == pytest.approx(P_or, abs=1e-7)
+        assert opt.contract.T == pytest.approx(T_or, rel=1e-6)
+
+    def test_window_edge_beats_the_t_zero_price(self):
+        # utility rises with P near p_hi here, so the T = 0 answer at a low
+        # price is not the best one; the window edge with a positive trial is
+        params = AttentionParams(30.0, 0.5)
+        opt = joint_optimum(ISO_CURVE, params, ISO_BINDING)
+        assert opt.contract.P == 0.9
+        assert opt.boundary_flags == {P_AT_WINDOW_EDGE}
+        assert opt.contract.T == pytest.approx(7.16717, rel=1e-6)
+        assert opt.outcome.profit >= 0.0492895
+        assert opt.outcome.utility >= -1e-12
+        assert opt.outcome.profit >= binding_by_grid(ISO_CURVE, params, ISO_BINDING)[2] - 1e-12
+
+    def test_no_feasible_price_raises(self):
+        with pytest.raises(ConvergenceError, match=r"\(0\.25, 0\.9\)"):
+            joint_optimum(ISO_CURVE, AttentionParams(3.0, 0.5), ISO_BINDING)
+
+    def test_trial_length_is_irrelevant_without_decay(self):
+        opt = joint_optimum(U01, AttentionParams(20.0, 0.0), BINDING)
+        assert opt.contract.T == 0.0
+        assert T_AT_ZERO in opt.boundary_flags
+        assert opt.outcome.utility >= -1e-12
+
+    def test_trial_cap(self):
+        opt = joint_optimum(U01, INTERIOR, SolverConfig(t_max=1.0, participation_mode="binding_ir"))
+        assert opt.contract.T == 1.0
+        assert opt.boundary_flags == {T_AT_MAX}
+        assert opt.outcome.utility >= -1e-12
+
+    @pytest.mark.parametrize("pattern,dist,params,window", NON_INTERVAL_DRAWS)
+    def test_feasible_prices_need_not_form_an_interval(self, pattern, dist, params, window):
+        cfg = SolverConfig(price_window=window, participation_mode="binding_ir")
+        signs = "".join(
+            "+" if consumer_utility(dist, params, Contract(T=0.0, P=p)) >= 0.0 else "-"
+            for p in window.grid(cfg.bracket_grid + 1)
+        )
+        assert "".join(c for i, c in enumerate(signs) if i == 0 or c != signs[i - 1]) == pattern
+        opt = joint_optimum(dist, params, cfg)
+        assert opt.outcome.utility >= -1e-12
+        assert opt.outcome.profit >= binding_by_grid(dist, params, cfg)[2] - 1e-7
 
 
 class TestSaturatedAttention:
