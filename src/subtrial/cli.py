@@ -29,7 +29,7 @@ from .market import profit
 from .paid import joint_paid_optimum
 from .policy import PolicyShock, click_to_cancel_statics
 from .scenario import Scenario
-from .solver import joint_optimum
+from .solver import PARTICIPATION_MODES, joint_optimum
 from .verify import run_invariant_checks
 
 EXIT_OK = 0
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument(
             "--mode",
-            choices=["interior", "binding_ir", "report_only"],
+            choices=PARTICIPATION_MODES,
             help="override the scenario's participation mode",
         )
         p.add_argument(

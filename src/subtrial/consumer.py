@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import expit, xlogy
-
 from .exceptions import DomainError, InconsistentInputError
 
 LAMBDA_CONSISTENCY_TOL = 1e-9
@@ -65,27 +63,31 @@ def entropy(q: float) -> float:
     """H(q) = q ln q + (1-q) ln(1-q), with 0 ln 0 = 0; nonpositive, convex."""
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q must lie in [0, 1], got {q}")
-    return float(xlogy(q, q) + xlogy(1.0 - q, 1.0 - q))
+    r = 1.0 - q
+    return (q * math.log(q) if q > 0.0 else 0.0) + (r * math.log(r) if r > 0.0 else 0.0)
 
 
 def effective_lambda(params: AttentionParams, T: float) -> float:
     """gamma * lambda0 / (1 + beta * T); weakly decreasing in T."""
     if T < 0.0:
         raise DomainError(f"trial length must be nonnegative, got {T}")
-    return params.gamma * params.lambda0 / (1.0 + params.beta * T)
+    lam = params.gamma * params.lambda0 / (1.0 + params.beta * T)
+    if lam == 0.0:  # beta * T overflowed: utility's attention cost h / lam diverges
+        raise DomainError(f"effective sensitivity underflows to 0 at T = {T}")
+    return lam
 
 
 def optimal_q(P: float, lam: float) -> MonitoringSolution:
     """Closed-form minimizer of the monitoring objective.
 
     P = 0 is accepted and resolves to q* = 1/2 by continuity (logistic at
-    argument zero).  expit is overflow-safe for large lam * P.
+    argument zero).  lam * P >= 0, so exp(-lam * P) cannot overflow.
     """
     if P < 0.0 or P > 1.0:
         raise DomainError(f"price must lie in [0, 1], got {P}")
     if lam <= 0.0:
         raise DomainError(f"sensitivity must be positive, got {lam}")
-    q = float(expit(lam * P))
+    q = 1.0 / (1.0 + math.exp(-lam * P))
     expected_loss = (1.0 - q) * P
     entropy_cost = entropy(q) / lam
     return MonitoringSolution(
@@ -102,19 +104,19 @@ def monitoring_objective(q: float, P: float, lam: float) -> float:
 
 
 def trial_terms(x: float) -> tuple[float, float, float, float]:
-    """Trial-condition terms at x = lam * P > 0: sigma'(x) = sigma(x) sigma(-x),
-    h(x) = -H(sigma(x)) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)),
-    the zero-locus price pi(x) = h(x) / (x^2 sigma'(x)) and sigma(-x) = 1 - q*.
-    None is formed as 1 - q, so all keep full relative precision where q*
-    rounds to one; pi has e^-x divided out, stays finite after it underflows,
+    """The attention terms at x = lam * P > 0, formed nowhere else: q* = sigma(x),
+    h(x) = -H(q*) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)), the
+    zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) and sigma(-x) = 1 - q*.
+    None is formed as 1 - q, so all keep full relative precision where q* rounds
+    to one; pi has e^-x divided out, is finite until x^2 underflows (+inf after),
     falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2."""
     e = math.exp(-x)
     log_term = math.log1p(e)
     q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
     neg_entropy = q * log_term + q_miss * (x + log_term)
     log_ratio = log_term / e if e > 0.0 else 1.0
-    locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x)
-    return q * q_miss, neg_entropy, locus_price, q_miss
+    locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+    return q, neg_entropy, locus_price, q_miss
 
 
 def q_derivatives(
@@ -131,7 +133,7 @@ def q_derivatives(
         raise InconsistentInputError(
             f"lam = {lam} but effective_lambda(params, T) = {lam_implied}"
         )
-    q = float(expit(lam * P))
+    q = 1.0 / (1.0 + math.exp(-lam * P))
     slope = q * (1.0 - q)
     dq_dP = lam * slope
     dq_dlam = P * slope

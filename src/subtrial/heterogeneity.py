@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .consumer import optimal_q
+from .consumer import trial_terms
 from .distributions import ValuationDistribution
 from .exceptions import DomainError
 from .market import Contract, cancel_mass
@@ -55,9 +55,9 @@ class AttentionMixture:
 def aggregate_loss(
     dist: ValuationDistribution, mixture: AttentionMixture, contract: Contract
 ) -> float:
-    """P * F(P) * sum_i w_i (1 - q*(P, lambda_i))."""
+    """P * F(P) * sum_i w_i sigma(-lambda_i P), sigma(-x) = 1 - q*(P, lambda_i)."""
     mass = cancel_mass(dist, contract.P)
-    fail = sum(w * (1.0 - optimal_q(contract.P, lam).q_star) for lam, w in mixture.atoms)
+    fail = sum(w * trial_terms(lam * contract.P)[3] for lam, w in mixture.atoms)
     return contract.P * mass * fail
 
 

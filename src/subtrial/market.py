@@ -1,18 +1,15 @@
 """Aggregate market quantities at a fixed contract.
 
-Revenue splits into a standard component P * (1 - F(P)) from willing
-subscribers and an inattentive component
+Attention enters only through x = lam(T) * P, as sigma(-x) = 1 - q* and
+h(x) = -H(q*) from ``consumer.trial_terms``.  Revenue is a standard part
+P * (1 - F(P)) from willing subscribers plus IR = P * F(P) * sigma(-x) from
+consumers below the price who fail to cancel.  Ex-ante consumer utility
+U = S(P) - P * F(P) * [sigma(-x) + h(x) / x] nets the happy-subscriber
+surplus against the expected loss from forgetting and the cognitive burden
+h(x) / lam * F(P) of monitoring, a utility *reduction*, which is the reading
+under which the marginal harm of a longer trial,
 
-    IR(T, P) = P * F(P) * (1 - q*(P, lam(T)))
-
-from consumers below the price who fail to cancel.  Ex-ante consumer utility
-nets the happy-subscriber surplus against the expected loss from forgetting
-and the cognitive burden of monitoring; the cognitive term enters utility
-with magnitude |H(q*)| / lam so that it is a utility *reduction* (the raw
-entropy value is negative), which is the reading under which the marginal
-harm of a longer trial,
-
-    ir_slack = (beta / (gamma * lambda0)) * (-H(q*)) * F(P),
+    ir_slack = (beta / (gamma * lambda0)) * h(x) * F(P),
 
 equals -dU/dT when the finite difference is taken holding q* at its
 optimized value.
@@ -25,11 +22,12 @@ never counts as a potential canceler, even at P = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .consumer import AttentionParams, effective_lambda, entropy, optimal_q
+from .consumer import AttentionParams, effective_lambda, entropy, trial_terms
 from .distributions import PiecewiseIsoElastic, Uniform, ValuationDistribution
 from .exceptions import DomainError
 
@@ -78,10 +76,14 @@ def standard_revenue(dist: ValuationDistribution, contract: Contract) -> float:
 def inattentive_revenue(
     dist: ValuationDistribution, params: AttentionParams, contract: Contract
 ) -> float:
-    """P * F(P) * (1 - q*) with q* at the trial's effective sensitivity."""
-    lam = effective_lambda(params, contract.T)
-    q = optimal_q(contract.P, lam).q_star
-    return contract.P * cancel_mass(dist, contract.P) * (1.0 - q)
+    """P * F(P) * sigma(-x), x = lam(T) * P at the trial's effective sensitivity."""
+    x = effective_lambda(params, contract.T) * contract.P
+    return contract.P * cancel_mass(dist, contract.P) * trial_terms(x)[3]
+
+
+def revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
+    """Profit at (lam_eff, P): P (1 - F(P)) + P F(P) sigma(-lam P)."""
+    return P * (dist.survivor(P) + cancel_mass(dist, P) * trial_terms(lam * P)[3])
 
 
 def surplus_integral(dist: ValuationDistribution, P: float) -> float:
@@ -110,6 +112,17 @@ def surplus_integral(dist: ValuationDistribution, P: float) -> float:
     return value + atom_part
 
 
+def _utility(surplus: float, mass: float, P: float, x: float, terms: tuple) -> float:
+    """S(P) - P F(P) [sigma(-x) + h(x)/x] from the trial_terms at x."""
+    return surplus - P * mass * (terms[3] + terms[1] / x)
+
+
+def utility_in_x(dist: ValuationDistribution, P: float) -> Callable[[float], float]:
+    """Consumer utility at price P as a function of x = lam_eff P; S(P) is computed once."""
+    surplus, mass = surplus_integral(dist, P), cancel_mass(dist, P)
+    return lambda x: _utility(surplus, mass, P, x, trial_terms(x))
+
+
 def consumer_utility(
     dist: ValuationDistribution,
     params: AttentionParams,
@@ -123,10 +136,11 @@ def consumer_utility(
     envelope use it to hold q* at the base point.
     """
     lam = effective_lambda(params, contract.T)
-    q = optimal_q(contract.P, lam).q_star if q_override is None else q_override
+    if q_override is None:
+        return utility_in_x(dist, contract.P)(lam * contract.P)
     mass = cancel_mass(dist, contract.P)
-    monetary_loss = contract.P * mass * (1.0 - q)
-    cognitive = (-entropy(q)) / lam * mass
+    monetary_loss = contract.P * mass * (1.0 - q_override)
+    cognitive = (-entropy(q_override)) / lam * mass
     return surplus_integral(dist, contract.P) - monetary_loss - cognitive
 
 
@@ -139,12 +153,8 @@ def ir_slack(
     gamma * lambda0), which keeps this expression equal to -dU/dT under a
     uniform attention boost.
     """
-    mass = cancel_mass(dist, contract.P)
-    if params.beta == 0.0 or mass == 0.0:
-        return 0.0
-    lam = effective_lambda(params, contract.T)
-    q = optimal_q(contract.P, lam).q_star
-    return params.beta / (params.gamma * params.lambda0) * (-entropy(q)) * mass
+    x, mass = effective_lambda(params, contract.T) * contract.P, cancel_mass(dist, contract.P)
+    return params.beta / (params.gamma * params.lambda0) * trial_terms(x)[1] * mass
 
 
 def profit(
@@ -152,15 +162,16 @@ def profit(
 ) -> MarketOutcome:
     """Full outcome record at the contract: revenues, profit, utility, slack."""
     lam = effective_lambda(params, contract.T)
-    q = optimal_q(contract.P, lam).q_star
+    P, x = contract.P, lam * contract.P
+    terms, mass = trial_terms(x), cancel_mass(dist, P)
     std = standard_revenue(dist, contract)
-    ir = contract.P * cancel_mass(dist, contract.P) * (1.0 - q)
+    ir = P * mass * terms[3]
     return MarketOutcome(
         standard_revenue=std,
         inattentive_revenue=ir,
         profit=std + ir,
-        utility=consumer_utility(dist, params, contract),
-        ir_slack=ir_slack(dist, params, contract),
-        q_star=q,
+        utility=_utility(surplus_integral(dist, P), mass, P, x, terms),
+        ir_slack=params.beta / (params.gamma * params.lambda0) * terms[1] * mass,
+        q_star=terms[0],
         lambda_eff=lam,
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from .consumer import AttentionParams, effective_lambda, q_derivatives
 from .distributions import ValuationDistribution
 from .exceptions import CappedBranchError, DomainError
-from .market import Contract, cancel_mass, inattentive_revenue, standard_revenue
+from .market import Contract, cancel_mass, revenue
 from .solver import SolverConfig, joint_optimum
 
 
@@ -82,8 +82,7 @@ def p_aug(
     dist: ValuationDistribution, params: AttentionParams, T: float, P: float
 ) -> float:
     """Expected post-trial profit per subscriber: standard plus inattentive."""
-    contract = Contract(T=T, P=P)
-    return standard_revenue(dist, contract) + inattentive_revenue(dist, params, contract)
+    return revenue(dist, effective_lambda(params, T), P)
 
 
 def intro_price_foc(model: SignupModel, P0: float, p_aug_value: float) -> float:

@@ -39,7 +39,7 @@ from scipy.optimize import ridder
 from .consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
 from .distributions import PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, lambda_crit
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
-from .market import Contract, MarketOutcome, cancel_mass, profit, surplus_integral
+from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
 
 T_AT_ZERO = "T_at_zero"
 T_AT_MAX = "T_at_max"
@@ -122,8 +122,8 @@ def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T:
     if params.beta == 0.0 or mass == 0.0:
         return 0.0
     x = effective_lambda(params, T) * P
-    slope, neg_entropy, _, _ = trial_terms(x)
-    return params.beta / (params.gamma * params.lambda0) * mass * (P * x * x * slope - neg_entropy)
+    q, neg_entropy, _, q_miss = trial_terms(x)
+    return params.beta / (params.gamma * params.lambda0) * mass * (P * x * x * (q * q_miss) - neg_entropy)
 
 
 def _trial_positive(dist: ValuationDistribution, params: AttentionParams, lam: float, P: float) -> bool:
@@ -199,12 +199,7 @@ def _best_price(
                 f"only by jumps at density kinks, so no root gives the best price"
             )
         return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
-    return max(roots, key=lambda p: _revenue(dist, lam, p)), tuple(roots), False
-
-
-def _revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
-    """Profit at (lam, P): P (1 - F(P)) + P F(P) sigma(-lam P)."""
-    return P * (dist.survivor(P) + cancel_mass(dist, P) * trial_terms(lam * P)[3])
+    return max(roots, key=lambda p: revenue(dist, lam, p)), tuple(roots), False
 
 
 def solve_price(
@@ -364,41 +359,33 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
     w = config.price_window
     lam_lo, lam_hi = effective_lambda(params, config.t_max), effective_lambda(params, 0.0)
 
-    def utility_at(P: float):
-        """U at price P as a function of x = lam P, with S(P) computed once."""
-        surplus, mass = surplus_integral(dist, P), cancel_mass(dist, P)
-        def utility(x: float) -> float:
-            _, neg_entropy, _, miss = trial_terms(x)
-            return surplus - P * mass * (miss + neg_entropy / x)
-        return utility
-
     def lowest_lam(P: float) -> float | None:
         if cancel_mass(dist, P) == 0.0:
             return lam_hi
-        utility = utility_at(P)
+        utility = utility_in_x(dist, P)
         if utility(lam_hi * P) < 0.0:
             return None
         if utility(lam_lo * P) >= 0.0:  # the T cap; with beta = 0, lam_lo == lam_hi
             return lam_lo
         return _polish(utility, lam_lo * P, lam_hi * P, config) / P
 
-    def revenue(P: float, lam: float | None) -> float:
-        return -math.inf if lam is None else _revenue(dist, lam, P)
+    def value(P: float, lam: float | None) -> float:
+        return -math.inf if lam is None else revenue(dist, lam, P)
 
     def bracket_end(p: float) -> tuple[float, float]:
         lam = lowest_lam(p)
         if lam is None:  # the feasibility edge between p and the best price, at T = 0
-            return _polish(lambda q: utility_at(q)(lam_hi * q), grid[i], p, config), lam_hi
+            return _polish(lambda q: utility_in_x(dist, q)(lam_hi * q), grid[i], p, config), lam_hi
         return float(p), lam
 
     grid = w.grid(config.bracket_grid + 1)
-    i, lo, hi = argmax_bracket(grid, [revenue(p, lowest_lam(p)) for p in grid])
+    i, lo, hi = argmax_bracket(grid, [value(p, lowest_lam(p)) for p in grid])
     best = (float(grid[i]), lowest_lam(grid[i]))
     if best[1] is None:
         raise ConvergenceError(f"no price in ({w.p_lo}, {w.p_hi}) leaves utility nonnegative at T = 0")
     ends = [bracket_end(lo), bracket_end(hi)]
-    P = _golden_max(lambda p: revenue(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
-    P, lam = max([*ends, best, (P, lowest_lam(P))], key=lambda c: revenue(*c))
+    P = _golden_max(lambda p: value(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
+    P, lam = max([*ends, best, (P, lowest_lam(P))], key=lambda c: value(*c))
     T = 0.0 if lam == lam_hi else config.t_max if lam == lam_lo else _trial_length(params, lam)
     flags = {T_AT_ZERO} if lam == lam_hi else {T_AT_MAX} if lam == lam_lo else set()
     return _assemble(dist, params, T, P, flags, P in (w.p_lo, w.p_hi))

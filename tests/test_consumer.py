@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit, xlogy
 
 from subtrial.consumer import (
     AttentionParams,
@@ -58,6 +59,12 @@ class TestEntropy:
                     mid = entropy(0.5 * (a + b))
                     assert mid < 0.5 * (entropy(a) + entropy(b)) - 1e-12
 
+    def test_bitwise_equal_to_scipy_xlogy(self):
+        rng = np.random.default_rng(11)
+        qs = np.concatenate([[0.0, 1.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53], rng.random(20_000)])
+        oracle = xlogy(qs, qs) + xlogy(1.0 - qs, 1.0 - qs)
+        assert all(entropy(float(q)) == float(h) for q, h in zip(qs, oracle))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             entropy(-0.01)
@@ -80,6 +87,11 @@ class TestEffectiveLambda:
         lams = [effective_lambda(params, t) for t in np.linspace(0.0, 50.0, 40)]
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
+    def test_underflow_to_zero_is_a_domain_error(self):
+        # beta * T overflows to inf, so lam(T) would be exactly 0
+        with pytest.raises(DomainError, match="underflows"):
+            effective_lambda(AttentionParams(1.0, 10.0), 1e308)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             AttentionParams(lambda0=0.0)
@@ -93,6 +105,15 @@ class TestOptimalQ:
     def test_free_price_limit(self):
         assert optimal_q(0.0, 2.0).q_star == pytest.approx(0.5)
         assert optimal_q(1e-12, 2.0).q_star == pytest.approx(0.5, abs=1e-11)
+
+    def test_bitwise_equal_to_scipy_expit(self):
+        rng = np.random.default_rng(7)
+        P = np.concatenate([[0.0, 1.0, 0.0], rng.random(20_000)])
+        lam = np.concatenate([[1.0, 1e4, 1e-3], 10.0 ** rng.uniform(-3.0, 3.0, 20_000)])
+        oracle = expit(lam * P)
+        assert all(
+            optimal_q(float(p), float(l)).q_star == float(q) for p, l, q in zip(P, lam, oracle)
+        )
 
     def test_exact_logistic_point(self):
         assert optimal_q(1.0, math.log(3.0)).q_star == pytest.approx(0.75, abs=1e-15)

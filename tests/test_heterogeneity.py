@@ -36,6 +36,14 @@ class TestAggregateLoss:
             0.0, abs=1e-9
         )
 
+    def test_saturated_atoms_still_lose(self):
+        # lambda P = 60 and 75: 1 - q* rounds to 0, sigma(-lambda P) does not
+        mixture = AttentionMixture(atoms=((200.0, 0.5), (250.0, 0.5)))
+        contract = Contract(T=0.0, P=0.3)
+        loss = aggregate_loss(Uniform(0.1, 0.2), mixture, contract)
+        assert loss > 0.0
+        assert loss == pytest.approx(0.3 * 0.5 * (math.exp(-60.0) + math.exp(-75.0)), rel=1e-12, abs=0.0)
+
     def test_weights_average_the_tails(self):
         mixture = AttentionMixture(atoms=((4.0, 0.25), (1.0, 0.75)))
         contract = Contract(T=0.0, P=0.5)

@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from subtrial.consumer import AttentionParams, effective_lambda, entropy, optimal_q
 from subtrial.distributions import PiecewiseIsoElastic, Uniform
+from subtrial.exceptions import DomainError
 from subtrial.market import (
     Contract,
     consumer_utility,
@@ -189,6 +190,53 @@ class TestIrSlack:
             - consumer_utility(U01, params, Contract(T=T - h, P=P), q_override=q)
         ) / (2 * h)
         assert ir_slack(U01, params, Contract(T=T, P=P)) == pytest.approx(fd, rel=1e-5)
+
+
+class TestSaturatedAttention:
+    # x = lam P = 60: q* rounds to one, so forming 1 - q* would give 0 for
+    # every attention term; the price lies above the support, so F = 1, S = 0.
+    DIST = Uniform(0.1, 0.2)
+    PARAMS = AttentionParams(200.0, 0.5)
+    CONTRACT = Contract(T=0.0, P=0.3)
+
+    @staticmethod
+    def exact() -> dict:
+        import mpmath
+
+        with mpmath.workdps(50):
+            P, lam, beta = mpmath.mpf("0.3"), mpmath.mpf(200), mpmath.mpf("0.5")
+            q, miss = 1 / (1 + mpmath.exp(-lam * P)), 1 / (1 + mpmath.exp(lam * P))
+            neg_entropy = -(q * mpmath.log(q) + miss * mpmath.log(miss))
+            return {
+                "utility": float(-P * miss - neg_entropy / lam),
+                "inattentive_revenue": float(P * miss),
+                "ir_slack": float(beta / lam * neg_entropy),
+            }
+
+    @pytest.mark.parametrize(
+        "name,function,value",
+        [
+            ("utility", consumer_utility, -5.2976890114314e-27),
+            ("inattentive_revenue", inattentive_revenue, 2.626953228809e-27),
+            ("ir_slack", ir_slack, 1.335367891311e-27),
+        ],
+    )
+    def test_terms_keep_relative_precision(self, name, function, value):
+        got = function(self.DIST, self.PARAMS, self.CONTRACT)
+        # approx's default abs tolerance of 1e-12 would accept 0.0 here
+        assert got == pytest.approx(self.exact()[name], rel=1e-12, abs=0.0)
+        assert got == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert getattr(profit(self.DIST, self.PARAMS, self.CONTRACT), name) == got
+
+    def test_far_decayed_attention(self):
+        # lam = 1e-170, so (lam P)^2 underflows; q* is 1/2, the surplus 1/8
+        # cancels the forgetting loss P F / 2, and F log(2) / lam is left
+        out = profit(U01, AttentionParams(1.0, 1.0), Contract(T=1e170, P=0.5))
+        assert out.q_star == 0.5
+        assert out.inattentive_revenue == 0.125
+        assert out.utility == pytest.approx(-0.5 * np.log(2.0) / 1e-170, rel=1e-12)
+        with pytest.raises(DomainError, match="underflows"):
+            profit(U01, AttentionParams(1.0, 10.0), Contract(T=1e308, P=0.5))
 
 
 class TestAttentionBoostStatics:

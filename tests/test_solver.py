@@ -338,6 +338,19 @@ class TestBindingParticipation:
         with pytest.raises(ConvergenceError, match=r"\(0\.25, 0\.9\)"):
             joint_optimum(ISO_CURVE, AttentionParams(3.0, 0.5), ISO_BINDING)
 
+    def test_oracle_agrees_where_saturated_attention_leaves_no_price(self):
+        # seed-7 reoptimize draw 76: the support lies below the window, so
+        # U = -P [sigma(-x) + h(x)/x] < 0 at every price; above P ~ 0.49,
+        # x = lam P > 37, where forming 1 - q* would round U up to zero
+        dist = Uniform(0.13397429976161268, 0.14442618503985383)
+        params = AttentionParams(31.215372406862766, 0.016373536492024547, 2.415361915266385)
+        window = PriceWindow(0.2946347910291534, 0.8460715334728932)
+        cfg = SolverConfig(price_window=window, participation_mode="binding_ir")
+        with pytest.raises(ConvergenceError):
+            joint_optimum(dist, params, cfg)
+        with pytest.raises(AssertionError, match="no price with nonnegative utility"):
+            binding_by_grid(dist, params, cfg)
+
     def test_trial_length_is_irrelevant_without_decay(self):
         opt = joint_optimum(U01, AttentionParams(20.0, 0.0), BINDING)
         assert opt.contract.T == 0.0
