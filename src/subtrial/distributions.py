@@ -29,6 +29,11 @@ IFR_STEP_TOL = 1e-9
 HAZARD_CAP = 1e12
 
 
+# composite 32-node Gauss-Legendre rule on [0, 1] in three equal panels
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+GL_NODES, GL_WEIGHTS = ((np.arange(3)[:, None] + (_GL_X + 1.0) / 2.0) / 3.0).ravel(), np.tile(_GL_W / 6.0, 3)
+
+
 @dataclass(frozen=True)
 class PriceWindow:
     """Open price interval (p_lo, p_hi) on which pricing results are evaluated."""
@@ -47,10 +52,12 @@ class PriceWindow:
 
 
 class ValuationDistribution:
-    """Base interface: CDF, density, survivor and hazard on [0, 1]."""
+    """Base interface: CDF, density, survivor and hazard on [0, 1], and the surplus
+    ``surplus(P)``, the survivor integrated over [P, 1] with the atom at 1."""
 
     #: probability mass concentrated at v = 1 (zero for continuous families)
     atom_at_one: float = 0.0
+    kinks: tuple[float, ...] = ()  #: valuations where the density jumps
 
     def cdf(self, v: float) -> float:
         raise NotImplementedError
@@ -96,6 +103,7 @@ class Uniform(ValuationDistribution):
     def __post_init__(self) -> None:
         if not (0.0 <= self.a < self.b <= 1.0):
             raise DomainError(f"uniform support must satisfy 0 <= a < b <= 1, got [{self.a}, {self.b}]")
+        object.__setattr__(self, "kinks", (self.a, self.b))
 
     def cdf(self, v: float) -> float:
         self._check_closed(v)
@@ -110,6 +118,11 @@ class Uniform(ValuationDistribution):
         if self.a <= v <= self.b:
             return 1.0 / (self.b - self.a)
         return 0.0
+
+    def surplus(self, P: float) -> float:
+        self._check_closed(P)
+        lo = max(P, self.a)
+        return ((self.b - P) ** 2 - (lo - P) ** 2) / (2.0 * (self.b - self.a)) if lo < self.b else 0.0
 
     def to_spec(self) -> dict:
         return {"family": "uniform", "a": self.a, "b": self.b}
@@ -133,6 +146,7 @@ class PiecewiseIsoElastic(ValuationDistribution):
                 "survivor kappa * v0**(-eps) exceeds 1 at the splice point; shrink kappa or raise v0"
             )
         object.__setattr__(self, "atom_at_one", self.kappa)
+        object.__setattr__(self, "kinks", (self.v0,))
 
     def _head_slope(self) -> float:
         return (1.0 - self.kappa * self.v0 ** (-self.eps)) / self.v0
@@ -157,6 +171,13 @@ class PiecewiseIsoElastic(ValuationDistribution):
             # exact on the pricing region, including the atom value kappa at v = 1
             return self.kappa * v ** (-self.eps) if v < 1.0 else self.kappa
         return 1.0 - self._head_slope() * v
+
+    def surplus(self, P: float) -> float:
+        """kappa (1 - m^(1-eps)) / (1 - eps), m = max(P, v0), plus the linear head below v0."""
+        self._check_closed(P)
+        m = max(P, self.v0)
+        head = (self.v0 - P) * (1.0 - self._head_slope() * (self.v0 + P) / 2.0) if P < self.v0 else 0.0
+        return self.kappa * -math.expm1((1.0 - self.eps) * math.log(m)) / (1.0 - self.eps) + head
 
     def to_spec(self) -> dict:
         return {"family": "iso_elastic", "kappa": self.kappa, "eps": self.eps, "v0": self.v0}
@@ -190,6 +211,12 @@ class TruncatedWeibull(ValuationDistribution):
         self._check_open(v)
         z = v / self.s
         return (self.k / self.s) * z ** (self.k - 1.0) * math.exp(-(z**self.k)) / self._mass()
+
+    def surplus(self, P: float) -> float:
+        """The survivor formula above integrated by a fixed Gauss-Legendre rule."""
+        self._check_closed(P)
+        a, b = ((P + (1.0 - P) * GL_NODES) / self.s) ** self.k, (1.0 / self.s) ** self.k
+        return (1.0 - P) * float(GL_WEIGHTS @ (np.exp(-a) * -np.expm1(a - b))) / self._mass()
 
     def to_spec(self) -> dict:
         return {"family": "trunc_weibull", "k": self.k, "s": self.s}

@@ -4,15 +4,16 @@ Attention enters only through x = lam(T) * P, as sigma(-x) = 1 - q* and
 h(x) = -H(q*) from ``consumer.trial_terms``.  Revenue is a standard part
 P * (1 - F(P)) from willing subscribers plus IR = P * F(P) * sigma(-x) from
 consumers below the price who fail to cancel.  Ex-ante consumer utility
-U = S(P) - P * F(P) * [sigma(-x) + h(x) / x] nets the happy-subscriber
-surplus against the expected loss from forgetting and the cognitive burden
-h(x) / lam * F(P) of monitoring, a utility *reduction*, which is the reading
-under which the marginal harm of a longer trial,
+U = S(P) - P * F(P) * sigma(-x) - F(P) * h(x) / lam nets the happy-subscriber
+surplus S(P) against the expected loss from forgetting and the cognitive
+burden h(x) / lam * F(P) of monitoring, a utility *reduction*, which is the
+reading under which the marginal harm of a longer trial,
 
     ir_slack = (beta / (gamma * lambda0)) * h(x) * F(P),
 
 equals -dU/dT when the finite difference is taken holding q* at its
-optimized value.
+optimized value.  The burden divides by lam, not x = lam * P, which can
+underflow to 0.  S(P) is each family's own ``surplus``.
 
 F(P) here always means the mass of consumers strictly below the price, i.e.
 1 - survivor(P); for the iso-elastic family the atom at v = 1 therefore
@@ -25,13 +26,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .consumer import AttentionParams, effective_lambda, entropy, trial_terms
-from .distributions import PiecewiseIsoElastic, Uniform, ValuationDistribution
+from .distributions import ValuationDistribution
 from .exceptions import DomainError
-
-SURPLUS_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,39 +85,18 @@ def revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
 
 def surplus_integral(dist: ValuationDistribution, P: float) -> float:
     """Happy-subscriber surplus: integral of (v - P) f(v) dv over [P, 1] plus atoms."""
-    atom_part = dist.atom_at_one * (1.0 - P)
-    if isinstance(dist, Uniform):
-        lo = max(P, dist.a)
-        if lo >= dist.b:
-            return atom_part
-        width = dist.b - dist.a
-        return ((dist.b - P) ** 2 - (lo - P) ** 2) / (2.0 * width) + atom_part
-    if P >= 1.0:
-        return atom_part
-    points = None
-    if isinstance(dist, PiecewiseIsoElastic) and P < dist.v0:
-        points = [dist.v0]
-    value, _ = quad(
-        lambda v: (v - P) * dist.pdf(v),
-        P,
-        1.0,
-        epsabs=SURPLUS_QUAD_TOL,
-        epsrel=SURPLUS_QUAD_TOL,
-        points=points,
-        limit=200,
-    )
-    return value + atom_part
+    return dist.surplus(P)
 
 
-def _utility(surplus: float, mass: float, P: float, x: float, terms: tuple) -> float:
-    """S(P) - P F(P) [sigma(-x) + h(x)/x] from the trial_terms at x."""
-    return surplus - P * mass * (terms[3] + terms[1] / x)
+def _utility(surplus: float, mass: float, P: float, lam: float, terms: tuple) -> float:
+    """S(P) - P F(P) sigma(-x) - F(P) h(x) / lam from the trial_terms at x = lam P."""
+    return surplus - P * mass * terms[3] - terms[1] / lam * mass
 
 
 def utility_in_x(dist: ValuationDistribution, P: float) -> Callable[[float], float]:
     """Consumer utility at price P as a function of x = lam_eff P; S(P) is computed once."""
     surplus, mass = surplus_integral(dist, P), cancel_mass(dist, P)
-    return lambda x: _utility(surplus, mass, P, x, trial_terms(x))
+    return lambda x: _utility(surplus, mass, P, x / P, trial_terms(x))
 
 
 def consumer_utility(
@@ -135,13 +111,9 @@ def consumer_utility(
     instead of the optimal one; finite-difference checks of the trial-length
     envelope use it to hold q* at the base point.
     """
-    lam = effective_lambda(params, contract.T)
-    if q_override is None:
-        return utility_in_x(dist, contract.P)(lam * contract.P)
-    mass = cancel_mass(dist, contract.P)
-    monetary_loss = contract.P * mass * (1.0 - q_override)
-    cognitive = (-entropy(q_override)) / lam * mass
-    return surplus_integral(dist, contract.P) - monetary_loss - cognitive
+    lam, P, q = effective_lambda(params, contract.T), contract.P, q_override
+    terms = trial_terms(lam * P) if q is None else (q, -entropy(q), None, 1.0 - q)
+    return _utility(surplus_integral(dist, P), cancel_mass(dist, P), P, lam, terms)
 
 
 def ir_slack(
@@ -170,7 +142,7 @@ def profit(
         standard_revenue=std,
         inattentive_revenue=ir,
         profit=std + ir,
-        utility=_utility(surplus_integral(dist, P), mass, P, x, terms),
+        utility=_utility(surplus_integral(dist, P), mass, P, lam, terms),
         ir_slack=params.beta / (params.gamma * params.lambda0) * terms[1] * mass,
         q_star=terms[0],
         lambda_eff=lam,

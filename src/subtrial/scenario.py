@@ -103,7 +103,7 @@ def from_dict(record: dict) -> Scenario:
         solver = SolverConfig(
             price_window=window,
             t_max=float(solver_rec.get("t_max", 365.0)),
-            bracket_grid=int(solver_rec.get("bracket_grid", 256)),
+            bracket_grid=solver_rec.get("bracket_grid", 256),
             root_tol=float(solver_rec.get("root_tol", 1e-10)),
             opt_tol=float(solver_rec.get("opt_tol", 1e-9)),
             participation_mode=str(solver_rec.get("participation_mode", "report_only")),

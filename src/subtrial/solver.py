@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import ridder
 
 from .consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
 from .distributions import PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, lambda_crit
@@ -46,6 +45,7 @@ T_AT_MAX = "T_at_max"
 P_AT_WINDOW_EDGE = "P_at_window_edge"
 
 PARTICIPATION_MODES = ("interior", "binding_ir", "report_only")
+RIDDER_RTOL = 4.0 * np.finfo(float).eps  # relative part of the polish's bracket test
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class SolverConfig:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.root_tol, self.opt_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.bracket_grid < 1 or self.max_iter < 1:
-            raise ValueError(f"bracket_grid and max_iter must be at least 1 in {self}")
+        if not all(type(n) is int and n >= 1 for n in (self.bracket_grid, self.max_iter)):
+            raise ValueError(f"bracket_grid and max_iter must be integers of at least 1 in {self}")
         if self.participation_mode not in PARTICIPATION_MODES:
             raise ValueError(f"unknown participation mode {self.participation_mode!r}")
 
@@ -142,6 +142,33 @@ def _trial_length(params: AttentionParams, lam: float) -> float:
     return (params.gamma * params.lambda0 / lam - 1.0) / params.beta
 
 
+def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> float:
+    """Ridder's method (Ridders 1979, IEEE Trans. Circuits Syst. 26:979) on a sign-change
+    bracket; returns the iterate x at which the bracket is below xtol + RIDDER_RTOL x."""
+    xa, xb = float(lo), float(hi)
+    fa, fb = f(xa), f(xb)
+    if fa == 0.0 or fb == 0.0:
+        return xa if fa == 0.0 else xb
+    tol = xtol + RIDDER_RTOL * abs(xa)
+    for _ in range(max_iter):
+        dm = 0.5 * (xb - xa)
+        xm = xa + dm
+        fm = f(xm)
+        dn = (1.0 if fb - fa > 0.0 else -1.0) * fm * dm / math.sqrt(fm * fm - fa * fb)
+        xn = xm - (1.0 if dn > 0.0 else -1.0) * min(abs(dn), abs(dm) - 0.5 * tol)
+        fn = f(xn)
+        if math.copysign(1.0, fn) != math.copysign(1.0, fm):
+            xa, fa, xb, fb = xn, fn, xm, fm
+        elif math.copysign(1.0, fn) != math.copysign(1.0, fa):
+            xb, fb = xn, fn
+        else:
+            xa, fa = xn, fn
+        tol = xtol + RIDDER_RTOL * xn
+        if fn == 0.0 or abs(xb - xa) < tol:
+            return xn
+    raise ConvergenceError(f"root polish on [{lo}, {hi}] did not converge in {max_iter} iterations")
+
+
 def _polish(f, lo: float, hi: float, config: SolverConfig) -> float:
     """Root of f in a sign-change bracket: Ridder's method to a step of
     ``root_tol``, then one secant step across that last step, which takes a
@@ -149,12 +176,7 @@ def _polish(f, lo: float, hi: float, config: SolverConfig) -> float:
     the bracket every iteration, so a jump of f across zero (at a density
     kink) is located within ``max_iter`` iterations too."""
     tol = config.root_tol
-    try:
-        root = float(ridder(f, lo, hi, xtol=tol, maxiter=config.max_iter))
-    except RuntimeError as exc:
-        raise ConvergenceError(
-            f"root polish on [{lo}, {hi}] did not converge in {config.max_iter} iterations"
-        ) from exc
+    root = _ridder(f, lo, hi, tol, config.max_iter)
     a, b = max(lo, root - tol), min(hi, root + tol)
     f_a, f_b = f(a), f(b)
     if f_a * f_b < 0.0:

@@ -1,7 +1,9 @@
 """Valuation-distribution families: closed forms vs numerical oracles."""
 
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +18,7 @@ from subtrial.distributions import (
     lambda_crit,
 )
 from subtrial.exceptions import DomainError, SingularityError
+from subtrial.verify import _total_mass
 
 ISO = PiecewiseIsoElastic(kappa=0.3, eps=0.4, v0=0.2)
 WEIBULL = TruncatedWeibull(k=2.0, s=0.5)
@@ -221,3 +224,82 @@ class TestConstruction:
     def test_window_ordering(self):
         with pytest.raises(DomainError):
             PriceWindow(0.9, 0.2)
+
+
+def seeded_draws(seed: int, n: int) -> list:
+    """Draws over the benchmark's declared domains: Uniform 0 <= a < b <= 1;
+    iso-elastic eps, v0 in [0.01, 0.99], kappa in (0, v0**eps); Weibull k in
+    [1, 4], s log-uniform in [0.2, 2]; plus the Weibull edges k = 1, 1.001
+    and (k, s) = (4, 0.2)."""
+    rng = random.Random(seed)
+    draws = [TruncatedWeibull(1.0, 0.2), TruncatedWeibull(1.001, 0.2), TruncatedWeibull(4.0, 0.2)]
+    for _ in range(n):
+        a, b = sorted((rng.random(), rng.random()))
+        eps, v0 = 0.01 + 0.98 * rng.random(), 0.01 + 0.98 * rng.random()
+        draws += [
+            Uniform(a, b),
+            PiecewiseIsoElastic((1.0 - rng.random()) * v0**eps * (1.0 - 1e-12), eps, v0),
+            TruncatedWeibull(1.0 + 3.0 * rng.random(), 0.2 * 10.0 ** rng.random()),
+        ]
+    return draws
+
+
+DRAWS = seeded_draws(seed=20, n=8)
+
+
+def mp_surplus(dist, P: float):
+    """Integral of P(V >= t) over [P, 1] in mpmath, from each family's definition."""
+    breaks = [*dist.kinks]
+    if isinstance(dist, Uniform):
+        a, b = mp.mpf(dist.a), mp.mpf(dist.b)
+        survivor = lambda t: 1 if t <= a else 0 if t >= b else (b - t) / (b - a)
+    elif isinstance(dist, PiecewiseIsoElastic):
+        kappa, eps, v0 = mp.mpf(dist.kappa), mp.mpf(dist.eps), mp.mpf(dist.v0)
+        slope = (1 - kappa * v0**-eps) / v0
+        survivor = lambda t: kappa * t**-eps if t >= v0 else 1 - slope * t
+    else:
+        k, s = mp.mpf(dist.k), mp.mpf(dist.s)
+        top = mp.exp(-((1 / s) ** k))
+        survivor = lambda t: (mp.exp(-((t / s) ** k)) - top) / (1 - top)
+        breaks += [dist.s / 2, dist.s, 2 * dist.s]
+    points = sorted({mp.mpf(P), mp.mpf(1), *(mp.mpf(x) for x in breaks if P < x < 1)})
+    return mp.quad(survivor, points) if len(points) > 1 else mp.mpf(0)
+
+
+def surplus_prices(dist, rng: random.Random) -> list[float]:
+    prices = [0.01, 1.0, 0.01 + 0.99 * rng.random(), 0.01 + 0.99 * rng.random()]
+    if isinstance(dist, Uniform) and dist.b < 1.0:
+        prices.append(dist.b + (1.0 - dist.b) * rng.random())  # P >= b: no surplus left
+    if isinstance(dist, PiecewiseIsoElastic) and dist.v0 > 0.01:
+        prices.append(0.01 + (dist.v0 - 0.01) * rng.random())  # P < v0: head and tail
+    return prices
+
+
+class TestSurplus:
+    def test_kinks_are_the_density_jumps(self):
+        assert Uniform(0.2, 0.7).kinks == (0.2, 0.7)
+        assert ISO.kinks == (ISO.v0,)
+        assert WEIBULL.kinks == ()
+
+    @pytest.mark.parametrize("dist", DRAWS, ids=repr)
+    def test_within_1e13_of_mpmath(self, dist):
+        rng = random.Random(repr(dist))
+        with mp.workdps(30):
+            for P in surplus_prices(dist, rng):
+                assert abs(dist.surplus(P) - float(mp_surplus(dist, P))) <= 1e-13, P
+
+    def test_nothing_left_at_the_top(self):
+        for dist in FAMILIES:
+            assert dist.surplus(1.0) == 0.0
+        assert Uniform(0.2, 0.6).surplus(0.6) == Uniform(0.2, 0.6).surplus(0.8) == 0.0
+
+    @pytest.mark.parametrize("dist", FAMILIES)
+    def test_rejects_out_of_range(self, dist):
+        with pytest.raises(DomainError):
+            dist.surplus(1.5)
+
+
+class TestVerifyMassRoute:
+    @pytest.mark.parametrize("dist", DRAWS, ids=repr)
+    def test_within_1e8_of_one(self, dist):
+        assert abs(_total_mass(dist) - 1.0) <= 1e-8

@@ -238,6 +238,15 @@ class TestSaturatedAttention:
         with pytest.raises(DomainError, match="underflows"):
             profit(U01, AttentionParams(1.0, 10.0), Contract(T=1e308, P=0.5))
 
+    @pytest.mark.parametrize("lambda0,P", [(1e-200, 1e-200), (5e-324, 0.4)])
+    def test_underflowing_x_matches_literal_route(self, lambda0, P):
+        # x = lam P underflows to 0 with both factors positive; the cognitive
+        # cost divides by lam, never by x
+        params, contract = AttentionParams(lambda0), Contract(T=0.0, P=P)
+        literal = consumer_utility(U01, params, contract, q_override=0.5)
+        assert profit(U01, params, contract).utility == literal
+        assert consumer_utility(U01, params, contract) == literal
+
 
 class TestAttentionBoostStatics:
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])

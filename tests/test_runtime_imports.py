@@ -1,0 +1,23 @@
+"""The runtime needs numpy only: importing the package and its CLI loads no scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_and_cli_import_no_scipy():
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = (
+        "import sys, subtrial, subtrial.cli; print(subtrial.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    package_file, scipy_modules = run.stdout.splitlines()
+    assert Path(package_file).resolve().is_relative_to(SRC)
+    assert scipy_modules == "[]"

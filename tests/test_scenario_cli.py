@@ -121,6 +121,18 @@ class TestCliSolve:
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("raw", ["Infinity", "1e400", "256.7", "true"])
+    def test_bracket_grid_must_be_a_json_integer(self, tmp_path, capsys, raw):
+        # valid JSON values that are not integers: a grid size is never rounded
+        text = (SCENARIOS / "baseline_uniform.json").read_text()
+        assert '"bracket_grid": 256,' in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"bracket_grid": 256,', f'"bracket_grid": {raw},'))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "scenario error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,name,edit",
         [

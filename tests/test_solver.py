@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import ridder
 
 from oracles import best_price_by_grid, binding_by_grid, joint_by_grid
-from subtrial.consumer import AttentionParams, effective_lambda, optimal_q
+from subtrial.consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
 from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform
 from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
@@ -15,6 +16,7 @@ from subtrial.solver import (
     SolverConfig,
     T_AT_MAX,
     T_AT_ZERO,
+    _polish,
     joint_optimum,
     price_foc,
     price_response_curve,
@@ -436,6 +438,65 @@ class TestSolverConfig:
     def test_polish_budget_exhaustion_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError):
             joint_optimum(U01, INTERIOR, SolverConfig(max_iter=1))
+
+
+def scipy_polish(f, lo, hi, config):
+    """The root polish on scipy.optimize.ridder, then the same secant step."""
+    tol = config.root_tol
+    root = float(ridder(f, lo, hi, xtol=tol, maxiter=config.max_iter))
+    a, b = max(lo, root - tol), min(hi, root + tol)
+    f_a, f_b = f(a), f(b)
+    if f_a * f_b < 0.0:
+        secant = a - f_a * (b - a) / (f_b - f_a)
+        if abs(f(secant)) < abs(f(root)):
+            root = secant
+    return root
+
+
+POLISH_CASES = {
+    "uniform-price": (lambda p: price_foc(U01, AttentionParams(5.0), 0.0, p), 0.05, 0.95),
+    "iso-price": (lambda p: price_foc(ISO_CURVE, AttentionParams(2.5, 0.01), 0.0, p), 0.25, 0.9),
+    "weibull-price": (lambda p: price_foc(TruncatedWeibull(2.0, 0.5), AttentionParams(5.0), 0.0, p), 0.05, 0.95),
+    "locus": (lambda x: trial_terms(x)[2] - 0.3, 1.0 / 0.3, (1.0 + math.sqrt(4.6)) / 0.6),
+    "cubic": (lambda x: x**3 - 2.0, 0.0, 2.0),
+    # the price condition jumps across zero at the iso-elastic splice v0 = 0.2
+    "iso-kink-jump": (lambda p: price_foc(ISO_CURVE, AttentionParams(30.0), 0.0, p), 0.19, 0.21),
+    "uniform-density-step": (lambda v: Uniform(0.2, 0.6).pdf(v) - 1.0, 0.5, 0.7),
+}
+
+
+class TestPolish:
+    @pytest.mark.parametrize("max_iter", [200, 40])
+    @pytest.mark.parametrize("case", POLISH_CASES)
+    def test_bitwise_equal_to_scipy_ridder_and_secant(self, case, max_iter):
+        f, lo, hi = POLISH_CASES[case]
+        config = SolverConfig(max_iter=max_iter)
+        root = _polish(f, lo, hi, config)
+        assert root == scipy_polish(f, lo, hi, config)
+        assert lo < root < hi
+
+    def test_jump_is_located_at_the_kink(self):
+        f, lo, hi = POLISH_CASES["iso-kink-jump"]
+        assert _polish(f, lo, hi, CFG) == pytest.approx(ISO_CURVE.v0, abs=CFG.root_tol)
+
+    @pytest.mark.parametrize("case", POLISH_CASES)
+    def test_iteration_budget_matches_scipy(self, case):
+        # the fewest iterations scipy needs are enough here too, one fewer raises
+        f, lo, hi = POLISH_CASES[case]
+        need = next(n for n in range(2, 200) if _converges(f, lo, hi, n))
+        assert _polish(f, lo, hi, SolverConfig(max_iter=need)) == scipy_polish(
+            f, lo, hi, SolverConfig(max_iter=need)
+        )
+        with pytest.raises(ConvergenceError, match=f"in {need - 1} iterations"):
+            _polish(f, lo, hi, SolverConfig(max_iter=need - 1))
+
+
+def _converges(f, lo, hi, max_iter):
+    try:
+        ridder(f, lo, hi, xtol=CFG.root_tol, maxiter=max_iter)
+    except RuntimeError:
+        return False
+    return True
 
 
 class TestPriceResponseCurve:
