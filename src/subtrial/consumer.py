@@ -25,6 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .distributions import _ARRAY, _NUMPY
 from .exceptions import DomainError, InconsistentInputError
 
 LAMBDA_CONSISTENCY_TOL = 1e-9
@@ -81,13 +84,9 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
     """Closed-form minimizer of the monitoring objective.
 
     P = 0 is accepted and resolves to q* = 1/2 by continuity (logistic at
-    argument zero).  lam * P >= 0, so exp(-lam * P) cannot overflow.
+    argument zero).
     """
-    if P < 0.0 or P > 1.0:
-        raise DomainError(f"price must lie in [0, 1], got {P}")
-    if lam <= 0.0:
-        raise DomainError(f"sensitivity must be positive, got {lam}")
-    q = 1.0 / (1.0 + math.exp(-lam * P))
+    q = logistic_q(P, lam)
     expected_loss = (1.0 - q) * P
     entropy_cost = entropy(q) / lam
     return MonitoringSolution(
@@ -98,24 +97,41 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
     )
 
 
+def logistic_q(P, lam):
+    """q* = 1 / (1 + exp(-lam P)) for P in [0, 1] and lam > 0, or arrays of them; cannot overflow."""
+    P_lo, P_hi = (P.min(initial=0.5), P.max(initial=0.5)) if isinstance(P, _ARRAY) else (P, P)
+    if P_lo < 0.0 or P_hi > 1.0:
+        raise DomainError(f"price must lie in [0, 1], got {P_lo if P_lo < 0.0 else P_hi}")
+    lam_lo = lam.min(initial=0.5) if isinstance(lam, _ARRAY) else lam
+    if lam_lo <= 0.0:
+        raise DomainError(f"sensitivity must be positive, got {lam_lo}")
+    x = lam * P
+    return 1.0 / (1.0 + (_NUMPY if isinstance(x, _ARRAY) else math).exp(-x))
+
+
 def monitoring_objective(q: float, P: float, lam: float) -> float:
     """(1 - q) * P + H(q) / lam, the quantity optimal_q minimizes over q."""
     return (1.0 - q) * P + entropy(q) / lam
 
 
-def trial_terms(x: float) -> tuple[float, float, float, float]:
+def trial_terms(x):
     """The attention terms at x = lam * P > 0, formed nowhere else: q* = sigma(x),
     h(x) = -H(q*) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)), the
     zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) and sigma(-x) = 1 - q*.
     None is formed as 1 - q, so all keep full relative precision where q* rounds
     to one; pi has e^-x divided out, is finite until x^2 underflows (+inf after),
-    falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2."""
-    e = math.exp(-x)
-    log_term = math.log1p(e)
+    falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2.  x may be an array."""
+    xp = _NUMPY if isinstance(x, _ARRAY) else math
+    e = xp.exp(-x)
+    log_term = xp.log1p(e)
     q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
     neg_entropy = q * log_term + q_miss * (x + log_term)
-    log_ratio = log_term / e if e > 0.0 else 1.0
-    locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+    if xp is math:
+        log_ratio = log_term / e if e > 0.0 else 1.0
+        locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+    else:  # the same limits per element: 0/0 is replaced by 1, and num/0 or an overflow is inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            locus_price = (1.0 + e) * (np.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
     return q, neg_entropy, locus_price, q_miss
 
 

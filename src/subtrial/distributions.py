@@ -13,12 +13,14 @@ Three families are supported:
   increasing hazard for k >= 1.
 
 All quantities are deterministic pure functions; there is no sampling here.
+``survivor`` and ``pdf`` also take an array of valuations: a scan's whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,6 +34,20 @@ HAZARD_CAP = 1e12
 # composite 32-node Gauss-Legendre rule on [0, 1] in three equal panels
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 GL_NODES, GL_WEIGHTS = ((np.arange(3)[:, None] + (_GL_X + 1.0) / 2.0) / 3.0).ravel(), np.tile(_GL_W / 6.0, 3)
+
+
+# numpy's kernels, named as math's; pow is libm's per element (numpy's own is an ulp off)
+_NUMPY = SimpleNamespace(exp=np.exp, expm1=np.expm1, log1p=np.log1p, pow=np.float_power)
+_ARRAY = np.ndarray  # an alias: looking up np.ndarray costs as much as a float kernel
+
+
+def _check_each(v, check) -> None:
+    """``check`` of v, or of an array's smallest and largest element (a NaN reaches both, and
+    an empty array passes)."""
+    if isinstance(v, _ARRAY):
+        check(v.min(initial=0.5))
+        v = v.max(initial=0.5)
+    check(v)
 
 
 @dataclass(frozen=True)
@@ -66,9 +82,8 @@ class ValuationDistribution:
         raise NotImplementedError
 
     def survivor(self, v: float) -> float:
-        """P(V >= v); equals 1 - cdf(v) except at a declared atom."""
-        self._check_closed(v)
-        return 1.0 - self.cdf(v) + (self.atom_at_one if v >= 1.0 else 0.0)
+        """P(V >= v); equals 1 - cdf(v), which checks v, except at a declared atom."""
+        return 1.0 - self.cdf(v) + self.atom_at_one * (v >= 1.0)
 
     def hazard(self, v: float) -> float:
         """f(v) / survivor(v); raises when the survivor is numerically zero."""
@@ -106,6 +121,9 @@ class Uniform(ValuationDistribution):
         object.__setattr__(self, "kinks", (self.a, self.b))
 
     def cdf(self, v: float) -> float:
+        if isinstance(v, _ARRAY):  # the clip is the branches below, bitwise
+            _check_each(v, self._check_closed)
+            return np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0)
         self._check_closed(v)
         if v <= self.a:
             return 0.0
@@ -114,10 +132,8 @@ class Uniform(ValuationDistribution):
         return (v - self.a) / (self.b - self.a)
 
     def pdf(self, v: float) -> float:
-        self._check_open(v)
-        if self.a <= v <= self.b:
-            return 1.0 / (self.b - self.a)
-        return 0.0
+        _check_each(v, self._check_open)
+        return 1.0 / (self.b - self.a) * ((self.a <= v) & (v <= self.b))
 
     def surplus(self, P: float) -> float:
         self._check_closed(P)
@@ -160,12 +176,20 @@ class PiecewiseIsoElastic(ValuationDistribution):
         return 1.0 - self.kappa * v ** (-self.eps)
 
     def pdf(self, v: float) -> float:
+        if isinstance(v, _ARRAY):
+            _check_each(v, self._check_open)
+            tail = self.kappa * self.eps * np.float_power(np.maximum(v, self.v0), -self.eps - 1.0)
+            return np.where(v < self.v0, self._head_slope(), tail)
         self._check_open(v)
         if v < self.v0:
             return self._head_slope()
         return self.kappa * self.eps * v ** (-self.eps - 1.0)
 
     def survivor(self, v: float) -> float:
+        if isinstance(v, _ARRAY):  # 1 ** -eps is exactly 1, so the tail is kappa at v = 1
+            _check_each(v, self._check_closed)
+            tail = self.kappa * np.float_power(np.maximum(v, self.v0), -self.eps)
+            return np.where(v >= self.v0, tail, 1.0 - self._head_slope() * v)
         self._check_closed(v)
         if v >= self.v0:
             # exact on the pricing region, including the atom value kappa at v = 1
@@ -203,14 +227,15 @@ class TruncatedWeibull(ValuationDistribution):
 
     def survivor(self, v: float) -> float:
         """(e^-a - e^-b) / mass, a = (v/s)^k, b = (1/s)^k: precise in the tail."""
-        self._check_closed(v)
-        a, b = (v / self.s) ** self.k, (1.0 / self.s) ** self.k
-        return math.exp(-a) * -math.expm1(a - b) / self._mass()
+        _check_each(v, self._check_closed)
+        xp = _NUMPY if isinstance(v, _ARRAY) else math
+        a, b = xp.pow(v / self.s, self.k), (1.0 / self.s) ** self.k
+        return xp.exp(-a) * -xp.expm1(a - b) / self._mass()
 
     def pdf(self, v: float) -> float:
-        self._check_open(v)
-        z = v / self.s
-        return (self.k / self.s) * z ** (self.k - 1.0) * math.exp(-(z**self.k)) / self._mass()
+        _check_each(v, self._check_open)
+        z, xp = v / self.s, _NUMPY if isinstance(v, _ARRAY) else math
+        return (self.k / self.s) * xp.pow(z, self.k - 1.0) * xp.exp(-xp.pow(z, self.k)) / self._mass()
 
     def surplus(self, P: float) -> float:
         """The survivor formula above integrated by a fixed Gauss-Legendre rule."""
@@ -255,15 +280,13 @@ def check_ifr(dist: ValuationDistribution, window: PriceWindow, grid_n: int = 64
     """
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
-    points = []
-    for v in window.grid(grid_n):
-        surv = dist.survivor(v)
-        if surv > SURVIVOR_FLOOR:
-            points.append((float(v), dist.pdf(v) / surv))
-    for (_, before), (v, rate) in zip(points, points[1:]):
-        if rate < before - IFR_STEP_TOL:
-            return IfrReport(is_ifr=False, first_violation=v, grid_n=grid_n)
-    return IfrReport(is_ifr=True, first_violation=None, grid_n=grid_n)
+    v = window.grid(grid_n)
+    surv = dist.survivor(v)
+    v, surv = v[surv > SURVIVOR_FLOOR], surv[surv > SURVIVOR_FLOOR]
+    rate = dist.pdf(v) / surv
+    drops = np.flatnonzero(rate[1:] < rate[:-1] - IFR_STEP_TOL)
+    first = float(v[drops[0] + 1]) if drops.size else None
+    return IfrReport(is_ifr=first is None, first_violation=first, grid_n=grid_n)
 
 
 def argmax_bracket(grid, values) -> tuple[int, float, float]:

@@ -19,6 +19,9 @@ law, and returns the fixed point with the smallest T.  Maximizing profit
 over T instead does not work: profit is strictly increasing in T whenever
 beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
 stops that climb where utility, also a function of (lam_eff, P), is zero.
+Scans are array-valued and the polish is scalar: a scan of the price window or
+of the locus in x is one numpy call on its grid, and each sign change it finds
+gets a Ridder polish on floats.
 
 Quantitative warning baked into the implementation (and verified by the test
 suite): g(0) is negative unless baseline sensitivity is large.  For uniform
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
+from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
 from .distributions import PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, lambda_crit
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
@@ -103,8 +106,9 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
     return _price_condition(dist, effective_lambda(params, T), P)
 
 
-def _price_condition(dist: ValuationDistribution, lam: float, P: float) -> float:
-    q = optimal_q(P, lam).q_star
+def _price_condition(dist: ValuationDistribution, lam, P):
+    """The price condition at (lam, P); at a scan's grid, one of them or both are arrays."""
+    q = logistic_q(P, lam)
     F = cancel_mass(dist, P)
     f = dist.pdf(P)
     standard = 1.0 - F - P * f
@@ -135,6 +139,12 @@ def _locus_x(P: float, config: SolverConfig) -> float:
     """x_g(P), the x = lam P at which the trial condition vanishes at price P."""
     hi = (1.0 + math.sqrt(1.0 + 12.0 * P)) / (2.0 * P)
     return _polish(lambda x: trial_terms(x)[2] - P, 1.0 / P, hi, config)
+
+
+def _on_locus(dist: ValuationDistribution, x):
+    """The price condition on the g = 0 locus at x = lam P, where P = pi(x); x may be an array."""
+    price = trial_terms(x)[2]
+    return _price_condition(dist, x / price, price)
 
 
 def _trial_length(params: AttentionParams, lam: float) -> float:
@@ -186,36 +196,33 @@ def _polish(f, lo: float, hi: float, config: SolverConfig) -> float:
     return root
 
 
-def _scan_roots(f, grid, config: SolverConfig) -> tuple[list[float], list[float]]:
-    """Every root of f at a sign change on the grid, polished, and the grid
-    values.  A sign change whose polish leaves a residual above ``root_tol``
-    is a jump of f across zero (at a density kink), not a root."""
-    vals = [f(t) for t in grid]
+def _scan_roots(f, grid: np.ndarray, config: SolverConfig) -> tuple[list[float], np.ndarray]:
+    """Roots of f on the grid and f's values there, from one call of f on the whole
+    grid: each grid zero, and each polished sign change whose residual is within
+    ``root_tol`` (a larger one is a jump across zero at a density kink)."""
+    vals = f(grid)
     roots: list[float] = []
-    for i in range(len(grid) - 1):
+    for i in np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
+        else:
             root = _polish(f, grid[i], grid[i + 1], config)
             if abs(f(root)) <= config.root_tol:
                 roots.append(root)
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
     return roots, vals
 
 
 def _best_price(
-    dist: ValuationDistribution, lam: float, config: SolverConfig
+    dist: ValuationDistribution, lam: float, config: SolverConfig, grid: np.ndarray
 ) -> tuple[float, tuple[float, ...], bool]:
     """Best price at effective sensitivity lam, as (price, roots, at_edge): the
-    revenue-maximizing root of the price condition on the window scan, or,
-    without a sign change, the window edge its sign points to.  Raises
+    revenue-maximizing root of the price condition on the window scan ``grid``,
+    or, without a sign change, the window edge its sign points to.  Raises
     ``NoRootError`` when the condition changes sign only by jumps."""
     w = config.price_window
-    grid = w.grid(config.bracket_grid + 1)
     roots, vals = _scan_roots(lambda p: _price_condition(dist, lam, p), grid, config)
     if not roots:
-        if min(vals) < 0.0 < max(vals):
+        if vals.min() < 0.0 < vals.max():
             raise NoRootError(
                 f"price condition at lambda_eff={lam} crosses zero on ({w.p_lo}, {w.p_hi}) "
                 f"only by jumps at density kinks, so no root gives the best price"
@@ -238,7 +245,7 @@ def solve_price(
     report carries the IFR diagnostic alongside.
     """
     w = config.price_window
-    price, roots, _ = _best_price(dist, effective_lambda(params, T), config)
+    price, roots, _ = _best_price(dist, effective_lambda(params, T), config, w.grid(config.bracket_grid + 1))
     if not roots:
         raise NoRootError(
             f"price condition has no sign change on ({w.p_lo}, {w.p_hi}) at T={T}; endpoint values "
@@ -315,19 +322,15 @@ def joint_optimum(
         return _binding_ir_optimum(dist, params, config)
 
     w = config.price_window
+    grid = w.grid(config.bracket_grid + 1)
     lam_hi = effective_lambda(params, 0.0)
-    P, _, at_edge = _best_price(dist, lam_hi, config)
+    P, _, at_edge = _best_price(dist, lam_hi, config, grid)
     if not _trial_positive(dist, params, lam_hi, P):
         return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, at_edge)
     lam_lo = effective_lambda(params, config.t_max)
     ifr = check_ifr(dist, w).is_ifr
     x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
-
-    def on_locus(x: float) -> float:
-        price = trial_terms(x)[2]
-        return _price_condition(dist, x / price, price)
-
-    roots, _ = _scan_roots(on_locus, np.geomspace(x_top, x_bottom, config.bracket_grid + 1), config)
+    roots, _ = _scan_roots(lambda x: _on_locus(dist, x), np.geomspace(x_top, x_bottom, grid.size), config)
     points = [(x, trial_terms(x)[2], False) for x in roots]
     points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
     candidates = sorted(
@@ -339,12 +342,12 @@ def joint_optimum(
         if ifr and not edge:
             return True
         same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
-        return abs(_best_price(dist, lam, config)[0] - price) <= same_root
+        return abs(_best_price(dist, lam, config, grid)[0] - price) <= same_root
 
     for lam, price, edge in candidates:
         if is_best_price(lam, price, edge):
             return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
-    P, _, at_edge = _best_price(dist, lam_lo, config)
+    P, _, at_edge = _best_price(dist, lam_lo, config, grid)
     if _trial_positive(dist, params, lam_lo, P):
         return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, at_edge)
     tried = [(_trial_length(params, lam), price) for lam, price, _ in candidates]

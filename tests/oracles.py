@@ -11,8 +11,9 @@ import numpy as np
 
 from subtrial.consumer import AttentionParams, monitoring_objective
 from subtrial.distributions import ValuationDistribution
-from subtrial.market import Contract, consumer_utility, profit
-from subtrial.solver import SolverConfig, trial_foc
+from subtrial.exceptions import NoRootError
+from subtrial.market import Contract, consumer_utility, profit, revenue
+from subtrial.solver import SolverConfig, _polish, _price_condition, trial_foc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -174,3 +175,36 @@ def binding_by_grid(
     P = golden_max(value, grid[max(i - 1, 0)], grid[min(i + 1, n - 1)])
     P, best = max([(P, value(P)), (float(grid[i]), values[i])], key=lambda c: c[1])
     return longest_trial(P), float(P), float(best)
+
+
+def scan_roots_by_points(f, grid, config: SolverConfig) -> tuple[list[float], list[float]]:
+    """The bracket scan one grid point at a time: f is called on each point
+    alone, a grid value of 0 is a root, and each sign change between
+    neighbours is polished by the solver's scalar polish and kept when its
+    residual is within ``root_tol`` (a larger one is a jump, not a root)."""
+    vals = [f(t) for t in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            root = _polish(f, grid[i], grid[i + 1], config)
+            if abs(f(root)) <= config.root_tol:
+                roots.append(root)
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots, vals
+
+
+def best_price_by_points(dist: ValuationDistribution, lam: float, config: SolverConfig):
+    """The best-price rule on the point-by-point scan, as (price, roots, at_edge):
+    the revenue-maximizing root, else the window edge the condition's sign
+    points to; NoRootError when it changes sign only by jumps."""
+    w = config.price_window
+    grid = np.linspace(w.p_lo, w.p_hi, config.bracket_grid + 1)
+    roots, vals = scan_roots_by_points(lambda p: _price_condition(dist, lam, p), grid, config)
+    if not roots:
+        if min(vals) < 0.0 < max(vals):
+            raise NoRootError(f"jump-only sign change at lambda_eff={lam}")
+        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
+    return max(roots, key=lambda p: revenue(dist, lam, p)), tuple(roots), False

@@ -275,3 +275,20 @@ class TestCliVerify:
         out = tmp_path / "verify.csv"
         code = main(["verify", "--scenario", str(SCENARIOS / "baseline_uniform.json"), "--out", str(out)])
         assert code == 3
+
+    def test_survivor_floor_in_window_reports_every_check(self, tmp_path, capsys):
+        """Where the survivor reaches its floor inside the window the hazard is
+        undefined: hazard_times_survivor skips those points, the lambda_crit
+        check reports a skip, and verify writes every row instead of aborting."""
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["distribution"] = {"family": "trunc_weibull", "k": 4.0, "s": 0.2}
+        path, out = tmp_path / "weibull_floor.json", tmp_path / "verify.csv"
+        path.write_text(json.dumps(record))
+        code = main(["verify", "--scenario", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        assert "solver error" not in capsys.readouterr().err
+        rows = {r["check"]: r for r in read_rows(out)}
+        assert code == (3 if any(r["status"] == "FAIL" for r in rows.values()) else 0)
+        assert len(rows) == len(read_rows(SCENARIOS.parent / "tests" / "golden" / "verify.baseline_uniform.csv"))
+        assert rows["hazard_times_survivor"]["status"] == "pass"
+        assert rows["lambda_crit_window_monotone"]["detail"] == "skipped: hazard unbounded on the window"
