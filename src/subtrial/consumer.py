@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _ARRAY, _NUMPY
-from .exceptions import DomainError, InconsistentInputError
-
-LAMBDA_CONSISTENCY_TOL = 1e-9
+from .exceptions import DomainError
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,16 @@ def effective_lambda(params: AttentionParams, T: float) -> float:
 
 
 def optimal_q(P: float, lam: float) -> MonitoringSolution:
-    """Closed-form minimizer of the monitoring objective.
+    """Closed-form minimizer of the monitoring objective, from the ``trial_terms`` at x = lam P.
 
     P = 0 is accepted and resolves to q* = 1/2 by continuity (logistic at
     argument zero).
     """
-    q = logistic_q(P, lam)
-    expected_loss = (1.0 - q) * P
-    entropy_cost = entropy(q) / lam
+    if not (0.0 <= P <= 1.0 and 0.0 < lam < math.inf):  # an infinite lam makes h(x) 0 * inf
+        raise DomainError(f"need P in [0, 1] and finite lam > 0, got P = {P}, lam = {lam}")
+    q, neg_entropy, _, q_miss = trial_terms(lam * P)
+    expected_loss = q_miss * P
+    entropy_cost = -neg_entropy / lam
     return MonitoringSolution(
         q_star=q,
         objective_value=expected_loss + entropy_cost,
@@ -115,7 +115,7 @@ def monitoring_objective(q: float, P: float, lam: float) -> float:
 
 
 def trial_terms(x):
-    """The attention terms at x = lam * P > 0, formed nowhere else: q* = sigma(x),
+    """The attention terms at x = lam * P >= 0, formed nowhere else: q* = sigma(x),
     h(x) = -H(q*) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)), the
     zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) and sigma(-x) = 1 - q*.
     None is formed as 1 - q, so all keep full relative precision where q* rounds
@@ -135,24 +135,14 @@ def trial_terms(x):
     return q, neg_entropy, locus_price, q_miss
 
 
-def q_derivatives(
-    P: float, lam: float, params: AttentionParams, T: float
-) -> tuple[float, float, float]:
-    """Closed-form (dq*/dP, dq*/dlam, dq*/dT) at (P, lam) with lam = lam(T).
+def q_derivatives(P: float, params: AttentionParams, T: float) -> tuple[float, float, float]:
+    """Closed-form (dq*/dP, dq*/dlam, dq*/dT) at price P and trial length T, lam = lam(T).
 
-    Raises when ``lam`` disagrees with ``effective_lambda(params, T)``: the
-    T-derivative is a chain rule through the decay law, so a stale lam would
-    silently produce the wrong slope.
+    The slope q* (1 - q*) is formed as q* sigma(-x) from ``trial_terms``, so it
+    keeps full relative precision where q* rounds to one.
     """
-    lam_implied = effective_lambda(params, T)
-    if abs(lam - lam_implied) > LAMBDA_CONSISTENCY_TOL:
-        raise InconsistentInputError(
-            f"lam = {lam} but effective_lambda(params, T) = {lam_implied}"
-        )
-    q = 1.0 / (1.0 + math.exp(-lam * P))
-    slope = q * (1.0 - q)
-    dq_dP = lam * slope
-    dq_dlam = P * slope
+    lam = effective_lambda(params, T)
+    q, _, _, q_miss = trial_terms(lam * P)
+    slope = q * q_miss
     dlam_dT = -params.beta * params.gamma * params.lambda0 / (1.0 + params.beta * T) ** 2
-    dq_dT = dq_dlam * dlam_dT
-    return dq_dP, dq_dlam, dq_dT
+    return lam * slope, P * slope, P * slope * dlam_dT

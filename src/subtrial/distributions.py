@@ -29,6 +29,7 @@ from .exceptions import DomainError, SingularityError, UnboundedError
 SURVIVOR_FLOOR = 1e-12
 IFR_STEP_TOL = 1e-9
 HAZARD_CAP = 1e12
+HAZARD_GRID, HAZARD_TOL = 512, 1e-12  # lambda_crit's scan and the bracket its argmax is refined to
 
 
 # composite 32-node Gauss-Legendre rule on [0, 1] in three equal panels
@@ -295,28 +296,49 @@ def argmax_bracket(grid, values) -> tuple[int, float, float]:
     return i, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
 
 
-def lambda_crit(
-    dist: ValuationDistribution,
-    window: PriceWindow,
-    grid_n: int = 512,
-    cap: float = HAZARD_CAP,
-) -> float:
-    """Supremum of the hazard over the window, with refinement near the maximizer.
+def golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section search for a maximum of f on [lo, hi]: the midpoint of a bracket below tol."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def window_max(f, grid, tol: float) -> tuple[float, float]:
+    """(v, f(v)) at the largest f seen while refining the grid argmax by golden section
+    between its neighbours.  Every evaluated point is a candidate, so a maximum at an end of
+    the grid is that end exactly, and one beside a jump is not lost to the final midpoint."""
+    seen = []
+
+    def tracked(v):
+        seen.append((float(v), f(v)))
+        return seen[-1][1]
+
+    _, lo, hi = argmax_bracket(grid, [tracked(v) for v in grid])
+    tracked(golden_max(tracked, lo, hi, tol))
+    return max(seen, key=lambda c: c[1])
+
+
+def lambda_crit(dist: ValuationDistribution, window: PriceWindow) -> float:
+    """Supremum of the hazard over the window: its ``window_max`` on a HAZARD_GRID-point scan.
 
     The supremum is always taken over an explicit window: for full-support
     families the hazard diverges as the survivor vanishes at v = 1, so a
-    global supremum would be infinite and useless as a threshold.
+    global supremum would be infinite and useless as a threshold.  Raises
+    ``UnboundedError`` above HAZARD_CAP.
     """
-    grid = window.grid(grid_n)
-    rates = [dist.hazard(v) for v in grid]
-    i, lo, hi = argmax_bracket(grid, rates)
-    # local refinement: three rounds of 3x zoom around the running maximizer
-    best = float(rates[i])
-    for _ in range(3):
-        sub = np.linspace(lo, hi, 65)
-        sub_rates = [dist.hazard(v) for v in sub]
-        j, lo, hi = argmax_bracket(sub, sub_rates)
-        best = max(best, float(sub_rates[j]))
-    if best > cap:
-        raise UnboundedError(f"hazard supremum {best:.3e} exceeds cap {cap:.3e}")
+    best = float(window_max(dist.hazard, window.grid(HAZARD_GRID), HAZARD_TOL)[1])
+    if best > HAZARD_CAP:
+        raise UnboundedError(f"hazard supremum {best:.3e} exceeds cap {HAZARD_CAP:.3e}")
     return best

@@ -17,10 +17,6 @@ class UnboundedError(SubtrialError, ArithmeticError):
     """A supremum exceeds the configured cap and is treated as unbounded."""
 
 
-class InconsistentInputError(SubtrialError, ValueError):
-    """Mutually dependent arguments disagree beyond tolerance."""
-
-
 class NoRootError(SubtrialError, RuntimeError):
     """A bracketed scan found no sign change for a first-order condition."""
 

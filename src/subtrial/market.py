@@ -74,8 +74,7 @@ def inattentive_revenue(
     dist: ValuationDistribution, params: AttentionParams, contract: Contract
 ) -> float:
     """P * F(P) * sigma(-x), x = lam(T) * P at the trial's effective sensitivity."""
-    x = effective_lambda(params, contract.T) * contract.P
-    return contract.P * cancel_mass(dist, contract.P) * trial_terms(x)[3]
+    return profit(dist, params, contract).inattentive_revenue
 
 
 def revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
@@ -111,9 +110,10 @@ def consumer_utility(
     instead of the optimal one; finite-difference checks of the trial-length
     envelope use it to hold q* at the base point.
     """
+    if q_override is None:
+        return profit(dist, params, contract).utility
     lam, P, q = effective_lambda(params, contract.T), contract.P, q_override
-    terms = trial_terms(lam * P) if q is None else (q, -entropy(q), None, 1.0 - q)
-    return _utility(surplus_integral(dist, P), cancel_mass(dist, P), P, lam, terms)
+    return _utility(surplus_integral(dist, P), cancel_mass(dist, P), P, lam, (q, -entropy(q), None, 1.0 - q))
 
 
 def ir_slack(
@@ -125,8 +125,7 @@ def ir_slack(
     gamma * lambda0), which keeps this expression equal to -dU/dT under a
     uniform attention boost.
     """
-    x, mass = effective_lambda(params, contract.T) * contract.P, cancel_mass(dist, contract.P)
-    return params.beta / (params.gamma * params.lambda0) * trial_terms(x)[1] * mass
+    return profit(dist, params, contract).ir_slack
 
 
 def profit(

@@ -145,8 +145,7 @@ def cross_partial_check(
     slope = signup_slope(model, contract.P0)
     if slope == 0.0:
         return 0.0
-    lam = effective_lambda(params, contract.T)
-    _, _, dq_dT = q_derivatives(contract.P, lam, params, contract.T)
+    _, _, dq_dT = q_derivatives(contract.P, params, contract.T)
     dPaug_dT = contract.P * cancel_mass(dist, contract.P) * (-dq_dT)
     return slope * dPaug_dT
 

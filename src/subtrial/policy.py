@@ -23,18 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consumer import AttentionParams
-from .distributions import PiecewiseIsoElastic, ValuationDistribution, argmax_bracket
+from .distributions import PiecewiseIsoElastic, ValuationDistribution, window_max
 from .exceptions import DomainError
 from .market import Contract, MarketOutcome, standard_revenue, surplus_integral
-from .solver import (
-    OptimalContract,
-    SolverConfig,
-    T_AT_ZERO,
-    _golden_max,
-    joint_optimum,
-)
+from .solver import P_AT_WINDOW_EDGE, T_AT_ZERO, OptimalContract, SolverConfig, joint_optimum
 
 GAMMA_FD_STEP = 0.1
+BETA_NOISE_TOL = 1e-9  # profit margin a beta-curve maximum needs over both ends to count as interior
 
 
 @dataclass(frozen=True)
@@ -119,12 +114,11 @@ def beta_profit_curve(
     params_base: AttentionParams,
     beta_grid: list[float],
     config: SolverConfig | None = None,
-    noise_tol: float = 1e-9,
 ) -> BetaCurve:
     """Re-optimized profit per decay rate with the argmax flagged.
 
     ``interior_max`` is true only when the maximum beats both endpoints by
-    more than ``noise_tol``, so solver-level jitter on a flat curve cannot
+    more than ``BETA_NOISE_TOL``, so solver-level jitter on a flat curve cannot
     masquerade as a hump.  Under the hyperbolic decay law the decay rate
     only rescales the trial axis, so re-optimized profit is flat in beta
     whenever the optimum is unconstrained; the flag then honestly reads
@@ -140,18 +134,11 @@ def beta_profit_curve(
     config = config or SolverConfig()
     points = []
     for b in grid:
-        params = replace(params_base, beta=b)
-        opt = joint_optimum(dist, params, config)
-        points.append(
-            BetaCurvePoint(
-                beta=b, profit=opt.outcome.profit, T_star=opt.contract.T, P_star=opt.contract.P
-            )
-        )
+        opt = joint_optimum(dist, replace(params_base, beta=b), config)
+        points.append(BetaCurvePoint(b, opt.outcome.profit, T_star=opt.contract.T, P_star=opt.contract.P))
     profits = np.array([p.profit for p in points])
     i = int(np.argmax(profits))
-    interior = bool(
-        profits[i] > profits[0] + noise_tol and profits[i] > profits[-1] + noise_tol
-    )
+    interior = bool(profits[i] > max(profits[0], profits[-1]) + BETA_NOISE_TOL)
     return BetaCurve(points=tuple(points), argmax_beta=points[i].beta, interior_max=interior)
 
 
@@ -165,11 +152,8 @@ def mandatory_reminder_limit(
     """
     config = config or SolverConfig()
     w = config.price_window
-    grid = w.grid(max(config.bracket_grid, 64) + 1)
     revenue = lambda p: standard_revenue(dist, Contract(T=0.0, P=p))
-    _, lo, hi = argmax_bracket(grid, [revenue(p) for p in grid])
-    P = _golden_max(revenue, lo, hi, config.opt_tol)
-    std = revenue(P)
+    P, std = window_max(revenue, w.grid(max(config.bracket_grid, 64) + 1), config.opt_tol)
     outcome = MarketOutcome(
         standard_revenue=std,
         inattentive_revenue=0.0,
@@ -179,13 +163,10 @@ def mandatory_reminder_limit(
         q_star=1.0,
         lambda_eff=float("inf"),
     )
-    flags = {T_AT_ZERO}
-    if P - w.p_lo < 1e-6 or w.p_hi - P < 1e-6:
-        flags.add("P_at_window_edge")
     return OptimalContract(
         contract=Contract(T=0.0, P=P),
         outcome=outcome,
         foc_residuals=(float("nan"), 0.0),
-        boundary_flags=frozenset(flags),
+        boundary_flags=frozenset({T_AT_ZERO, P_AT_WINDOW_EDGE} if P in (w.p_lo, w.p_hi) else {T_AT_ZERO}),
         participation_satisfied=outcome.utility >= -1e-12,
     )

@@ -164,7 +164,3 @@ def load(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return from_dict(record)
-
-
-def dump(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(scenario.dumps())

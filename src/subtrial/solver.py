@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
-from .distributions import PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, lambda_crit
+from .distributions import (PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, golden_max,
+                            lambda_crit)
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
 
@@ -78,7 +79,6 @@ class PriceSolution:
     residual: float
     sign_changes: int
     roots: tuple[float, ...]
-    ifr_ok: bool
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ def solve_price(
 
     All sign changes on the `bracket_grid` scan are polished; with several
     roots the profit-maximizing one is selected and the count is reported.
-    Uniqueness is only guaranteed for increasing-hazard families, so the
-    report carries the IFR diagnostic alongside.
+    Uniqueness is only guaranteed for increasing-hazard families (see
+    ``check_ifr``).
     """
     w = config.price_window
     price, roots, _ = _best_price(dist, effective_lambda(params, T), config, w.grid(config.bracket_grid + 1))
@@ -256,26 +256,7 @@ def solve_price(
         residual=price_foc(dist, params, T, price),
         sign_changes=len(roots),
         roots=roots,
-        ifr_ok=check_ifr(dist, w).is_ifr,
     )
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
 
 
 def solve_trial(
@@ -409,7 +390,7 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
     if best[1] is None:
         raise ConvergenceError(f"no price in ({w.p_lo}, {w.p_hi}) leaves utility nonnegative at T = 0")
     ends = [bracket_end(lo), bracket_end(hi)]
-    P = _golden_max(lambda p: value(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
+    P = golden_max(lambda p: value(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
     P, lam = max([*ends, best, (P, lowest_lam(P))], key=lambda c: value(*c))
     T = 0.0 if lam == lam_hi else config.t_max if lam == lam_lo else _trial_length(params, lam)
     flags = {T_AT_ZERO} if lam == lam_hi else {T_AT_MAX} if lam == lam_lo else set()
@@ -431,10 +412,7 @@ def price_response_curve(
     check.
     """
     config = config or SolverConfig()
-    curve = []
-    for T in sorted(T_grid):
-        sol = solve_price(dist, params, T, config)
-        curve.append((float(T), sol.price))
+    curve = [(float(T), solve_price(dist, params, T, config).price) for T in sorted(T_grid)]
     if assert_increasing is None:
         crit = lambda_crit(dist, config.price_window)
         assert_increasing = params.beta > 0.0 and params.gamma * params.lambda0 > crit

@@ -13,14 +13,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consumer import effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
-from .distributions import GL_NODES, GL_WEIGHTS, SURVIVOR_FLOOR, PriceWindow, check_ifr, lambda_crit
+from .distributions import (GL_NODES, GL_WEIGHTS, SURVIVOR_FLOOR, PriceWindow, check_ifr, golden_max,
+                            lambda_crit)
 from .exceptions import SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
 from .paid import intro_price_foc, optimal_intro_price, profit_paid, signup_rate
 from .policy import PolicyShock, apply_shock
 from .scenario import Scenario
-from .solver import _golden_max, price_foc
+from .solver import price_foc
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
     )
     h = 1e-6
     fd_err = max(
-        _rel_err((dist.cdf(v + h) - dist.cdf(v - h)) / (2 * h), dist.pdf(v))
+        _rel_err((dist.survivor(v - h) - dist.survivor(v + h)) / (2 * h), dist.pdf(v))
         for v in grid
         if _smooth_point(dist, v, h)
     )
@@ -81,7 +82,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
     worst = 0.0
     for P in (0.1, 0.35, 0.7, 1.0):
         for lam in (0.2, 1.0, 4.0):
-            numeric = _golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
+            numeric = golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
             worst = max(worst, abs(optimal_q(P, lam).q_star - numeric))
     add("consumer", "closed_form_vs_direct_min", worst <= 1e-8, f"max |dq| {worst:.2e}")
     qs = np.linspace(0.05, 0.95, 7)
@@ -99,7 +100,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
         # keep lam * P moderate: at saturation the central difference itself
         # cancels catastrophically and stops being a usable oracle
         for P in (min(0.6, 3.0 / lam), min(0.2, 1.0 / lam)):
-            dq_dP, dq_dlam, dq_dT = q_derivatives(P, lam, params, T)
+            dq_dP, dq_dlam, dq_dT = q_derivatives(P, params, T)
             s_p = hx / lam
             s_lam = hx / P
             fd_P = (optimal_q(P + s_p, lam).q_star - optimal_q(P - s_p, lam).q_star) / (2 * s_p)

@@ -26,6 +26,7 @@ from subtrial.distributions import (
     PriceWindow,
     TruncatedWeibull,
     Uniform,
+    check_ifr,
     lambda_crit,
 )
 from subtrial.heterogeneity import aggregate_loss, mps_pair, psi_curvature
@@ -88,7 +89,7 @@ def test_criterion_02_derivative_oracles():
     for P in np.linspace(0.1, 0.9, 5):
         for T in (0.5, 2.0, 10.0):
             lam = effective_lambda(params, T)
-            dq_dP, dq_dlam, dq_dT = q_derivatives(P, lam, params, T)
+            dq_dP, dq_dlam, dq_dT = q_derivatives(P, params, T)
             fd_P = (optimal_q(P + h, lam).q_star - optimal_q(P - h, lam).q_star) / (2 * h)
             fd_lam = (optimal_q(P, lam + h).q_star - optimal_q(P, lam - h).q_star) / (2 * h)
             fd_T = (
@@ -134,7 +135,7 @@ def test_criterion_03_monitoring_and_revenue_monotonicity():
     irs = [inattentive_revenue(U01, params, Contract(T=t, P=0.5)) for t in t_grid]
     checks.append(("inattentive revenue strictly increasing", all(b > a for a, b in zip(irs, irs[1:]))))
     frozen = AttentionParams(2.0, 0.0)
-    dq_dT = q_derivatives(0.5, 2.0, frozen, 5.0)[2]
+    dq_dT = q_derivatives(0.5, frozen, 5.0)[2]
     irs0 = [inattentive_revenue(U01, frozen, Contract(T=t, P=0.5)) for t in (0.0, 5.0, 40.0)]
     checks.append(("exact zeros without decay", dq_dT == 0.0 and irs0[0] == irs0[1] == irs0[2]))
     empty = Uniform(a=0.3, b=1.0)
@@ -187,7 +188,9 @@ def test_criterion_05_unique_price_root_for_increasing_hazard():
         (TruncatedWeibull(k=1.0, s=0.8), "weibull k=1"),
     ]:
         sol = solve_price(dist, BASELINE, 0.0, CFG)
-        checks.append((f"{label}: one sign change", sol.ifr_ok and sol.sign_changes == 1))
+        checks.append(
+            (f"{label}: one sign change", check_ifr(dist, CFG.price_window).is_ifr and sol.sign_changes == 1)
+        )
     report("criterion-05 unique price root under increasing hazard", checks, t0)
 
 

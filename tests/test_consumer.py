@@ -14,7 +14,7 @@ from subtrial.consumer import (
     optimal_q,
     q_derivatives,
 )
-from subtrial.exceptions import DomainError, InconsistentInputError
+from subtrial.exceptions import DomainError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,6 +142,11 @@ class TestOptimalQ:
                 assert 0.0 < sol.q_star < 1.0
                 assert sol.objective_value < min(P, 0.0)
 
+    @pytest.mark.parametrize("P, lam", [(-0.1, 1.0), (1.5, 1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan)])
+    def test_domain(self, P, lam):
+        with pytest.raises(DomainError):
+            optimal_q(P, lam)
+
     def test_saturation_is_finite(self):
         sol = optimal_q(1.0, 1e6)
         assert sol.q_star <= 1.0
@@ -151,25 +156,24 @@ class TestOptimalQ:
 class TestQDerivatives:
     def test_no_decay_kills_T_slope(self):
         params = AttentionParams(2.0, 0.0)
-        _, _, dq_dT = q_derivatives(0.5, 2.0, params, 3.0)
+        _, _, dq_dT = q_derivatives(0.5, params, 3.0)
         assert dq_dT == 0.0
 
     def test_price_slope_value(self):
         params = AttentionParams(2.0, 0.0)
-        dq_dP, _, _ = q_derivatives(0.5, 2.0, params, 0.0)
+        dq_dP, _, _ = q_derivatives(0.5, params, 0.0)
         assert dq_dP == pytest.approx(0.393224, abs=1e-6)
 
     def test_trial_slope_value(self):
         params = AttentionParams(2.0, 1.0)
         lam = effective_lambda(params, 1.0)
-        _, _, dq_dT = q_derivatives(0.5, lam, params, 1.0)
+        _, _, dq_dT = q_derivatives(0.5, params, 1.0)
         q = optimal_q(0.5, lam).q_star
         assert dq_dT == pytest.approx(-(1.0 * 2.0 * 0.5) * q * (1.0 - q) / 4.0, rel=1e-12)
 
     def test_signs(self):
         params = AttentionParams(1.5, 0.8)
-        lam = effective_lambda(params, 2.0)
-        dq_dP, dq_dlam, dq_dT = q_derivatives(0.4, lam, params, 2.0)
+        dq_dP, dq_dlam, dq_dT = q_derivatives(0.4, params, 2.0)
         assert dq_dP > 0.0
         assert dq_dlam > 0.0
         assert dq_dT < 0.0
@@ -180,7 +184,7 @@ class TestQDerivatives:
         for P in [0.2, 0.5, 0.9]:
             for T in [0.5, 2.0, 10.0]:
                 lam = effective_lambda(params, T)
-                dq_dP, dq_dlam, dq_dT = q_derivatives(P, lam, params, T)
+                dq_dP, dq_dlam, dq_dT = q_derivatives(P, params, T)
                 fd_P = (optimal_q(P + h, lam).q_star - optimal_q(P - h, lam).q_star) / (2 * h)
                 fd_lam = (optimal_q(P, lam + h).q_star - optimal_q(P, lam - h).q_star) / (2 * h)
                 fd_T = (
@@ -191,10 +195,42 @@ class TestQDerivatives:
                 assert dq_dlam == pytest.approx(fd_lam, rel=1e-6)
                 assert dq_dT == pytest.approx(fd_T, rel=1e-6)
 
-    def test_rejects_stale_lambda(self):
-        params = AttentionParams(2.0, 0.5)
-        with pytest.raises(InconsistentInputError):
-            q_derivatives(0.5, 1.7, params, 1.0)
+
+class TestSaturatedMonitoring:
+    # x = lam P = 50: q* rounds to one, so a slope or loss formed from 1 - q*
+    # would be exactly 0; trial_terms keeps each to full relative precision.
+    PARAMS = AttentionParams(100.0, 0.5)
+    P = 0.5
+
+    @staticmethod
+    def exact() -> dict:
+        import mpmath
+
+        with mpmath.workdps(50):
+            P, lam, beta = mpmath.mpf("0.5"), mpmath.mpf(100), mpmath.mpf("0.5")
+            q, miss = 1 / (1 + mpmath.exp(-lam * P)), 1 / (1 + mpmath.exp(lam * P))
+            return {
+                "dq_dP": float(lam * q * miss),
+                "dq_dlam": float(P * q * miss),
+                "dq_dT": float(-P * q * miss * beta * lam),  # dlam/dT = -beta lam0 at T = 0
+                "expected_loss": float(P * miss),
+                "entropy_cost": float((q * mpmath.log(q) + miss * mpmath.log(miss)) / lam),
+            }
+
+    def test_derivatives_match_mpmath(self):
+        exact = self.exact()
+        got = dict(zip(("dq_dP", "dq_dlam", "dq_dT"), q_derivatives(self.P, self.PARAMS, 0.0)))
+        assert got["dq_dP"] == pytest.approx(1.9287e-20, rel=1e-4, abs=0.0)
+        for name, value in got.items():
+            assert value == pytest.approx(exact[name], rel=1e-12, abs=0.0)
+
+    def test_value_decomposition_matches_mpmath(self):
+        exact = self.exact()
+        sol = optimal_q(self.P, 100.0)
+        assert sol.expected_loss == pytest.approx(9.6437e-23, rel=1e-4, abs=0.0)
+        assert sol.entropy_cost == pytest.approx(-9.8366e-23, rel=1e-4, abs=0.0)
+        assert sol.expected_loss == pytest.approx(exact["expected_loss"], rel=1e-12, abs=0.0)
+        assert sol.entropy_cost == pytest.approx(exact["entropy_cost"], rel=1e-12, abs=0.0)
 
 
 class TestMonitoringMonotonicity:

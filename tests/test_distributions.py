@@ -16,6 +16,7 @@ from subtrial.distributions import (
     check_ifr,
     from_spec,
     lambda_crit,
+    window_max,
 )
 from subtrial.exceptions import DomainError, SingularityError
 from subtrial.verify import _total_mass
@@ -173,6 +174,25 @@ class TestLambdaCrit:
         full = lambda_crit(Uniform(), PriceWindow(0.05, 0.95))
         inner = lambda_crit(Uniform(), PriceWindow(0.1, 0.8))
         assert inner <= full
+
+    def test_iso_elastic_sup_at_the_splice(self):
+        # the head hazard s / (1 - s v) rises to its left limit at v0, above the tail's eps / v0
+        s = (1.0 - 0.3 * 0.2**-0.4) / 0.2
+        assert lambda_crit(ISO, PriceWindow(0.05, 0.9)) == pytest.approx(s / (1.0 - s * 0.2), rel=1e-9)
+
+
+class TestWindowMax:
+    def test_interior_maximum_is_refined(self):
+        v, value = window_max(lambda v: -((v - 0.3141) ** 2), np.linspace(0.0, 1.0, 11), 1e-12)
+        assert v == pytest.approx(0.3141, abs=1e-9)
+        assert value == pytest.approx(0.0, abs=1e-18)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_maximum_at_an_end_is_that_end_exactly(self, sign):
+        grid = np.linspace(0.2, 0.7, 9)
+        v, value = window_max(lambda v: sign * v, grid, 1e-12)
+        assert v == (0.7 if sign > 0 else 0.2)
+        assert value == sign * v
 
 
 class TestSubIntervalUniform:

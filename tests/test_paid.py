@@ -181,6 +181,19 @@ class TestCrossPartial:
             ) / (4 * h * h)
             assert value == pytest.approx(mixed, rel=1e-3)
 
+    def test_negative_where_q_rounds_to_one(self):
+        # x = lam P = 50: the slope q* (1 - q*) would round to 0 and give -0.0
+        import mpmath
+
+        value = cross_partial_check(U01, AttentionParams(100.0, 0.5), MODEL, Contract(T=0.0, P=0.5, P0=0.2))
+        with mpmath.workdps(50):
+            P, lam0, beta, P0 = mpmath.mpf("0.5"), mpmath.mpf(100), mpmath.mpf("0.5"), mpmath.mpf("0.2")
+            dq_dT = -P / (2 + mpmath.exp(lam0 * P) + mpmath.exp(-lam0 * P)) * beta * lam0  # at T = 0
+            signup_slope = -MODEL.alpha * MODEL.theta * P0 ** (-MODEL.theta - 1)
+            exact = signup_slope * P * U01.cdf(0.5) * -dq_dT
+        assert value < 0.0
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
 
 class TestJointPaidOptimum:
     def test_elastic_signups_recover_free_trial(self):

@@ -144,3 +144,9 @@ class TestMandatoryReminderLimit:
         opt = mandatory_reminder_limit(ISO, ISO_CFG)
         assert opt.contract.P == pytest.approx(ISO_CFG.price_window.p_hi, abs=1e-5)
         assert "P_at_window_edge" in opt.boundary_flags
+
+    def test_edge_flag_means_the_exact_window_end(self):
+        assert mandatory_reminder_limit(ISO, ISO_CFG).contract.P == ISO_CFG.price_window.p_hi
+        interior = mandatory_reminder_limit(U01, CFG)
+        assert CFG.price_window.p_lo < interior.contract.P < CFG.price_window.p_hi
+        assert "P_at_window_edge" not in interior.boundary_flags

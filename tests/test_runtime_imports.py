@@ -1,5 +1,7 @@
-"""The runtime needs numpy only: importing the package and its CLI loads no scipy."""
+"""The runtime needs numpy only: importing the package and its CLI loads no scipy.
+Modules share helpers by public name only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +23,21 @@ def test_package_and_cli_import_no_scipy():
     package_file, scipy_modules = run.stdout.splitlines()
     assert Path(package_file).resolve().is_relative_to(SRC)
     assert scipy_modules == "[]"
+
+
+# the array type and numpy's math-named kernels are shared low-level aliases, not helpers
+SHARED_PRIVATE = {("distributions", "_ARRAY"), ("distributions", "_NUMPY")}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    found = []
+    for path in sorted((SRC / "subtrial").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("subtrial")):
+                sibling = (node.module or "").rpartition(".")[2]
+                found += [
+                    f"{path.name}: {sibling}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and (sibling, alias.name) not in SHARED_PRIVATE
+                ]
+    assert found == []

@@ -8,7 +8,7 @@ from scipy.optimize import ridder
 
 from oracles import best_price_by_grid, binding_by_grid, joint_by_grid
 from subtrial.consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
-from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform
+from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, check_ifr
 from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
 from subtrial.solver import (
@@ -73,7 +73,7 @@ class TestSolvePrice:
     )
     def test_unique_sign_change_for_increasing_hazard(self, dist):
         sol = solve_price(dist, CORNER, 0.0, CFG)
-        assert sol.ifr_ok
+        assert check_ifr(dist, CFG.price_window).is_ifr
         assert sol.sign_changes == 1
 
     def test_profit_max_selected_with_multiple_roots(self):
