@@ -79,7 +79,8 @@ def inattentive_revenue(
 
 def revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
     """Profit at (lam_eff, P): P (1 - F(P)) + P F(P) sigma(-lam P)."""
-    return P * (dist.survivor(P) + cancel_mass(dist, P) * trial_terms(lam * P)[3])
+    survivor = dist.survivor(P)
+    return P * (survivor + (1.0 - survivor) * trial_terms(lam * P)[3])
 
 
 def surplus_integral(dist: ValuationDistribution, P: float) -> float:
@@ -134,8 +135,8 @@ def profit(
     """Full outcome record at the contract: revenues, profit, utility, slack."""
     lam = effective_lambda(params, contract.T)
     P, x = contract.P, lam * contract.P
-    terms, mass = trial_terms(x), cancel_mass(dist, P)
-    std = standard_revenue(dist, contract)
+    terms, survivor = trial_terms(x), dist.survivor(P)
+    std, mass = P * survivor, 1.0 - survivor
     ir = P * mass * terms[3]
     return MarketOutcome(
         standard_revenue=std,

@@ -19,9 +19,12 @@ law, and returns the fixed point with the smallest T.  Maximizing profit
 over T instead does not work: profit is strictly increasing in T whenever
 beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
 stops that climb where utility, also a function of (lam_eff, P), is zero.
-Scans are array-valued and the polish is scalar: a scan of the price window or
-of the locus in x is one numpy call on its grid, and each sign change it finds
-gets a Ridder polish on floats.
+Scans are array-valued and the polish is scalar: a scan of the locus in x is
+one numpy call on its grid, and the lambda-free half of the price condition,
+F and f on the window grid, is tabulated once per solve, so each window scan
+is one numpy call at its lambda_eff.  Each sign change a scan finds gets a
+Ridder polish on floats, except one that is the jump of the condition at a
+declared density kink inside its cell: it holds no root, and is not polished.
 
 Quantitative warning baked into the implementation (and verified by the test
 suite): g(0) is negative unless baseline sensitivity is large.  For uniform
@@ -33,6 +36,7 @@ beta and gamma, which pins the optimal price as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +54,10 @@ P_AT_WINDOW_EDGE = "P_at_window_edge"
 
 PARTICIPATION_MODES = ("interior", "binding_ir", "report_only")
 RIDDER_RTOL = 4.0 * np.finfo(float).eps  # relative part of the polish's bracket test
+# In root_tol: a sign change whose one-sided values at a kink both exceed this is the kink's
+# jump.  A polish there lands within ~2e-10 of the kink, so it could only pass the root_tol
+# residual test where the condition's slope beside the kink exceeds ~5e4.
+JUMP_MARGIN = 1e5
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,6 @@ class SolverConfig:
 class PriceSolution:
     price: float
     residual: float
-    sign_changes: int
     roots: tuple[float, ...]
 
 
@@ -108,12 +115,26 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
 
 def _price_condition(dist: ValuationDistribution, lam, P):
     """The price condition at (lam, P); at a scan's grid, one of them or both are arrays."""
-    q = logistic_q(P, lam)
-    F = cancel_mass(dist, P)
-    f = dist.pdf(P)
+    return _price_terms(logistic_q(P, lam), lam, P, cancel_mass(dist, P), dist.pdf(P))
+
+
+def _price_terms(q, lam, P, F, f):
+    """The price condition from q* = q and the lambda-free F = F(P), f = f(P)."""
     standard = 1.0 - F - P * f
     inattentive = (1.0 - q) * (F + P * f) - P * F * lam * q * (1.0 - q)
     return standard + inattentive
+
+
+def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple[np.ndarray, ...]:
+    """(grid, F, f) on the price window's scan grid: the lambda-free half of every window scan."""
+    grid = config.price_window.grid(config.bracket_grid + 1)
+    return grid, cancel_mass(dist, grid), dist.pdf(grid)
+
+
+def _window_scan(table: tuple[np.ndarray, ...], lam: float) -> np.ndarray:
+    """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
+    grid, F, f = table
+    return _price_terms(logistic_q(grid, lam), lam, grid, F, f)
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:
@@ -138,7 +159,7 @@ def _trial_positive(dist: ValuationDistribution, params: AttentionParams, lam: f
 def _locus_x(P: float, config: SolverConfig) -> float:
     """x_g(P), the x = lam P at which the trial condition vanishes at price P."""
     hi = (1.0 + math.sqrt(1.0 + 12.0 * P)) / (2.0 * P)
-    return _polish(lambda x: trial_terms(x)[2] - P, 1.0 / P, hi, config)
+    return _polish(lambda x: trial_terms(x)[2] - P, 1.0 / P, hi, config)[0]
 
 
 def _on_locus(dist: ValuationDistribution, x):
@@ -152,13 +173,13 @@ def _trial_length(params: AttentionParams, lam: float) -> float:
     return (params.gamma * params.lambda0 / lam - 1.0) / params.beta
 
 
-def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> float:
+def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> tuple[float, float]:
     """Ridder's method (Ridders 1979, IEEE Trans. Circuits Syst. 26:979) on a sign-change
-    bracket; returns the iterate x at which the bracket is below xtol + RIDDER_RTOL x."""
+    bracket; returns (x, f(x)) at the iterate x at which the bracket is below xtol + RIDDER_RTOL x."""
     xa, xb = float(lo), float(hi)
     fa, fb = f(xa), f(xb)
     if fa == 0.0 or fb == 0.0:
-        return xa if fa == 0.0 else xb
+        return (xa, fa) if fa == 0.0 else (xb, fb)
     tol = xtol + RIDDER_RTOL * abs(xa)
     for _ in range(max_iter):
         dm = 0.5 * (xb - xa)
@@ -175,52 +196,66 @@ def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> float:
             xa, fa = xn, fn
         tol = xtol + RIDDER_RTOL * xn
         if fn == 0.0 or abs(xb - xa) < tol:
-            return xn
+            return xn, fn
     raise ConvergenceError(f"root polish on [{lo}, {hi}] did not converge in {max_iter} iterations")
 
 
-def _polish(f, lo: float, hi: float, config: SolverConfig) -> float:
-    """Root of f in a sign-change bracket: Ridder's method to a step of
-    ``root_tol``, then one secant step across that last step, which takes a
-    smooth f's residual down to rounding.  Ridder's method at least halves
-    the bracket every iteration, so a jump of f across zero (at a density
-    kink) is located within ``max_iter`` iterations too."""
+def _polish(f, lo: float, hi: float, config: SolverConfig) -> tuple[float, float]:
+    """(root, f(root)) in a sign-change bracket, as Python floats: Ridder's
+    method to a step of ``root_tol``, then one secant step across that last
+    step, which takes a smooth f's residual down to rounding.  Ridder's method
+    at least halves the bracket every iteration, so a jump of f across zero (at
+    a density kink) is located within ``max_iter`` iterations too."""
     tol = config.root_tol
-    root = _ridder(f, lo, hi, tol, config.max_iter)
+    root, residual = _ridder(f, lo, hi, tol, config.max_iter)
     a, b = max(lo, root - tol), min(hi, root + tol)
     f_a, f_b = f(a), f(b)
     if f_a * f_b < 0.0:
         secant = a - f_a * (b - a) / (f_b - f_a)
-        if abs(f(secant)) < abs(f(root)):
-            root = secant
-    return root
+        f_secant = f(secant)
+        if abs(f_secant) < abs(residual):
+            root, residual = secant, f_secant
+    return float(root), float(residual)
 
 
-def _scan_roots(f, grid: np.ndarray, config: SolverConfig) -> tuple[list[float], np.ndarray]:
-    """Roots of f on the grid and f's values there, from one call of f on the whole
-    grid: each grid zero, and each polished sign change whose residual is within
-    ``root_tol`` (a larger one is a jump across zero at a density kink)."""
-    vals = f(grid)
+def _is_jump(f, lo: float, hi: float, f_lo: float, f_hi: float, kinks, config: SolverConfig) -> bool:
+    """Whether the sign change of f on the cell [lo, hi] is f's jump at the one declared kink
+    inside it: the values one ulp either side of the kink have the signs of the cell's ends and
+    exceed the jump margin.  A polish would converge onto the kink and find no root there."""
+    inside = [k for k in kinks if lo < k < hi]
+    if len(inside) != 1:
+        return False
+    left, right = f(math.nextafter(inside[0], -math.inf)), f(math.nextafter(inside[0], math.inf))
+    margin = JUMP_MARGIN * config.root_tol
+    return left * f_lo > 0.0 and right * f_hi > 0.0 and min(abs(left), abs(right)) > margin
+
+
+def _scan_roots(f, grid: np.ndarray, vals: np.ndarray, config: SolverConfig, kinks=()) -> list[float]:
+    """Roots of f on the grid from its values ``vals`` there: each grid zero, and each
+    polished sign change whose residual is within ``root_tol`` (a larger one is a jump
+    across zero at a density kink).  A sign change that ``_is_jump`` at one of ``kinks``
+    is not polished."""
     roots: list[float] = []
     for i in np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        else:
-            root = _polish(f, grid[i], grid[i + 1], config)
-            if abs(f(root)) <= config.root_tol:
+        elif not _is_jump(f, grid[i], grid[i + 1], vals[i], vals[i + 1], kinks, config):
+            root, residual = _polish(f, grid[i], grid[i + 1], config)
+            if abs(residual) <= config.root_tol:
                 roots.append(root)
-    return roots, vals
+    return roots
 
 
 def _best_price(
-    dist: ValuationDistribution, lam: float, config: SolverConfig, grid: np.ndarray
+    dist: ValuationDistribution, lam: float, config: SolverConfig, table: tuple[np.ndarray, ...]
 ) -> tuple[float, tuple[float, ...], bool]:
     """Best price at effective sensitivity lam, as (price, roots, at_edge): the
-    revenue-maximizing root of the price condition on the window scan ``grid``,
-    or, without a sign change, the window edge its sign points to.  Raises
-    ``NoRootError`` when the condition changes sign only by jumps."""
+    revenue-maximizing root of the price condition on the scan of the window
+    ``table``, or, without a sign change, the window edge its sign points to.
+    Raises ``NoRootError`` when the condition changes sign only by jumps."""
     w = config.price_window
-    roots, vals = _scan_roots(lambda p: _price_condition(dist, lam, p), grid, config)
+    vals = _window_scan(table, lam)
+    roots = _scan_roots(lambda p: _price_condition(dist, lam, p), table[0], vals, config, dist.kinks)
     if not roots:
         if vals.min() < 0.0 < vals.max():
             raise NoRootError(
@@ -239,13 +274,14 @@ def solve_price(
 ) -> PriceSolution:
     """Root of the price condition on the window via bracket scan plus polish.
 
-    All sign changes on the `bracket_grid` scan are polished; with several
-    roots the profit-maximizing one is selected and the count is reported.
+    Every sign change on the `bracket_grid` scan but a density kink's jump is
+    polished; with several roots the profit-maximizing one is selected and all
+    are reported.
     Uniqueness is only guaranteed for increasing-hazard families (see
     ``check_ifr``).
     """
     w = config.price_window
-    price, roots, _ = _best_price(dist, effective_lambda(params, T), config, w.grid(config.bracket_grid + 1))
+    price, roots, _ = _best_price(dist, effective_lambda(params, T), config, _window_table(dist, config))
     if not roots:
         raise NoRootError(
             f"price condition has no sign change on ({w.p_lo}, {w.p_hi}) at T={T}; endpoint values "
@@ -254,7 +290,6 @@ def solve_price(
     return PriceSolution(
         price=price,
         residual=price_foc(dist, params, T, price),
-        sign_changes=len(roots),
         roots=roots,
     )
 
@@ -303,15 +338,16 @@ def joint_optimum(
         return _binding_ir_optimum(dist, params, config)
 
     w = config.price_window
-    grid = w.grid(config.bracket_grid + 1)
+    table = _window_table(dist, config)
     lam_hi = effective_lambda(params, 0.0)
-    P, _, at_edge = _best_price(dist, lam_hi, config, grid)
+    P, _, at_edge = _best_price(dist, lam_hi, config, table)
     if not _trial_positive(dist, params, lam_hi, P):
         return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, at_edge)
     lam_lo = effective_lambda(params, config.t_max)
-    ifr = check_ifr(dist, w).is_ifr
+    ifr = functools.cache(lambda: check_ifr(dist, w).is_ifr)
     x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
-    roots, _ = _scan_roots(lambda x: _on_locus(dist, x), np.geomspace(x_top, x_bottom, grid.size), config)
+    x_grid = np.geomspace(x_top, x_bottom, config.bracket_grid + 1)
+    roots = _scan_roots(lambda x: _on_locus(dist, x), x_grid, _on_locus(dist, x_grid), config)
     points = [(x, trial_terms(x)[2], False) for x in roots]
     points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
     candidates = sorted(
@@ -320,15 +356,15 @@ def joint_optimum(
     )
 
     def is_best_price(lam: float, price: float, edge: bool) -> bool:
-        if ifr and not edge:
+        if not edge and ifr():
             return True
         same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
-        return abs(_best_price(dist, lam, config, grid)[0] - price) <= same_root
+        return abs(_best_price(dist, lam, config, table)[0] - price) <= same_root
 
     for lam, price, edge in candidates:
         if is_best_price(lam, price, edge):
             return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
-    P, _, at_edge = _best_price(dist, lam_lo, config, grid)
+    P, _, at_edge = _best_price(dist, lam_lo, config, table)
     if _trial_positive(dist, params, lam_lo, P):
         return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, at_edge)
     tried = [(_trial_length(params, lam), price) for lam, price, _ in candidates]
@@ -373,7 +409,7 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
             return None
         if utility(lam_lo * P) >= 0.0:  # the T cap; with beta = 0, lam_lo == lam_hi
             return lam_lo
-        return _polish(utility, lam_lo * P, lam_hi * P, config) / P
+        return _polish(utility, lam_lo * P, lam_hi * P, config)[0] / P
 
     def value(P: float, lam: float | None) -> float:
         return -math.inf if lam is None else revenue(dist, lam, P)
@@ -381,7 +417,7 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
     def bracket_end(p: float) -> tuple[float, float]:
         lam = lowest_lam(p)
         if lam is None:  # the feasibility edge between p and the best price, at T = 0
-            return _polish(lambda q: utility_in_x(dist, q)(lam_hi * q), grid[i], p, config), lam_hi
+            return _polish(lambda q: utility_in_x(dist, q)(lam_hi * q), grid[i], p, config)[0], lam_hi
         return float(p), lam
 
     grid = w.grid(config.bracket_grid + 1)

@@ -188,7 +188,7 @@ def scan_roots_by_points(f, grid, config: SolverConfig) -> tuple[list[float], li
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            root = _polish(f, grid[i], grid[i + 1], config)
+            root = _polish(f, grid[i], grid[i + 1], config)[0]
             if abs(f(root)) <= config.root_tol:
                 roots.append(root)
     if vals[-1] == 0.0:

@@ -189,7 +189,7 @@ def test_criterion_05_unique_price_root_for_increasing_hazard():
     ]:
         sol = solve_price(dist, BASELINE, 0.0, CFG)
         checks.append(
-            (f"{label}: one sign change", check_ifr(dist, CFG.price_window).is_ifr and sol.sign_changes == 1)
+            (f"{label}: one sign change", check_ifr(dist, CFG.price_window).is_ifr and len(sol.roots) == 1)
         )
     report("criterion-05 unique price root under increasing hazard", checks, t0)
 

@@ -10,15 +10,18 @@ import numpy as np
 import pytest
 
 from oracles import best_price_by_points, scan_roots_by_points
+from subtrial import solver
 from subtrial.consumer import effective_lambda, logistic_q, trial_terms
 from subtrial.distributions import PiecewiseIsoElastic, TruncatedWeibull, Uniform
 from subtrial.exceptions import DomainError, NoRootError
-from subtrial.solver import _best_price, _locus_x, _on_locus, _price_condition, _scan_roots
+from subtrial.solver import (SolverConfig, _best_price, _locus_x, _on_locus, _price_condition, _scan_roots,
+                             _window_scan, _window_table)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (perfbench's seeded model draws)
 
 ULPS = 4
+CFG = SolverConfig()
 
 
 def kernel_draws(seed: int, n: int) -> list:
@@ -159,6 +162,12 @@ class TestPriceConditionArray:
             assert np.array_equal(np.sign(array), np.sign(scalar))
             assert np.array_equal(array == 0.0, scalar == 0.0)
 
+    @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
+    def test_table_scan_is_bitwise_the_array_condition(self, draw):
+        table = _window_table(draw.dist, draw.config)
+        for lam in scan_lambdas(draw):
+            assert np.array_equal(_window_scan(table, lam), _price_condition(draw.dist, lam, table[0]))
+
     def test_out_of_domain_element_raises(self):
         dist = Uniform()
         with pytest.raises(DomainError):
@@ -182,9 +191,9 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
     def test_best_price_matches_point_scan(self, draw):
-        grid = draw.config.price_window.grid(draw.config.bracket_grid + 1)
+        table = _window_table(draw.dist, draw.config)
         for lam in scan_lambdas(draw):
-            got = outcome(lambda: _best_price(draw.dist, lam, draw.config, grid))
+            got = outcome(lambda: _best_price(draw.dist, lam, draw.config, table))
             want = outcome(lambda: best_price_by_points(draw.dist, lam, draw.config))
             assert got == want
 
@@ -193,7 +202,53 @@ class TestScanOracle:
         w, config = draw.config.price_window, draw.config
         grid = np.geomspace(_locus_x(w.p_hi, config), _locus_x(w.p_lo, config), config.bracket_grid + 1)
         f = lambda x: _on_locus(draw.dist, x)
-        roots, vals = _scan_roots(f, grid, config)
+        vals = f(grid)
+        roots = _scan_roots(f, grid, vals, config)
         want_roots, want_vals = scan_roots_by_points(f, grid, config)
         assert roots == want_roots
+        assert all(type(root) is float for root in roots)
         assert np.array_equal(np.sign(vals), np.sign(want_vals))
+
+
+def counting_polish(monkeypatch) -> list:
+    """Route the solver's polish through a counter; returns the list of polished cells."""
+    cells, polish = [], solver._polish
+
+    def counted(f, lo, hi, config):
+        cells.append((lo, hi))
+        return polish(f, lo, hi, config)
+
+    monkeypatch.setattr(solver, "_polish", counted)
+    return cells
+
+
+class TestDensityJumps:
+    # Uniform(0.52, 0.62) at lam = 20: the condition is 1 below a, 1 - q a / (b - a) ~ -4.2
+    # just above it, and negative on to the window's top, so it changes sign only by the jump at a.
+    JUMP_ONLY = (Uniform(0.52, 0.62), 20.0)
+
+    def test_jump_only_cell_is_not_polished(self, monkeypatch):
+        dist, lam = self.JUMP_ONLY
+        want = outcome(lambda: best_price_by_points(dist, lam, CFG))
+        cells = counting_polish(monkeypatch)
+        assert outcome(lambda: _best_price(dist, lam, CFG, _window_table(dist, CFG))) is want is NoRootError
+        assert cells == []
+
+    def test_kink_cell_within_the_margin_is_polished(self, monkeypatch):
+        # b is set so that just above a the condition 1 - q a / (b - a) is -1e-7,
+        # beyond root_tol but inside the jump margin
+        a, lam = 0.42, 20.0
+        q = logistic_q(a, lam)
+        dist = Uniform(a, a + q * a / (1.0 + 1e-7))
+        above = _price_condition(dist, lam, math.nextafter(a, math.inf))
+        assert CFG.root_tol < -above < solver.JUMP_MARGIN * CFG.root_tol
+        cells = counting_polish(monkeypatch)
+        assert outcome(lambda: _best_price(dist, lam, CFG, _window_table(dist, CFG))) is NoRootError
+        assert len(cells) == 1 and cells[0][0] < a < cells[0][1]
+
+    def test_jump_needs_no_polish_budget(self):
+        # a polish of the jump cell would raise ConvergenceError within 2 iterations
+        dist, lam = self.JUMP_ONLY
+        config = SolverConfig(max_iter=2)
+        with pytest.raises(NoRootError):
+            _best_price(dist, lam, config, _window_table(dist, config))

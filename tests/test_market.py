@@ -1,12 +1,14 @@
 """Market aggregates: revenue split, utility, and the trial-harm envelope."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
 from subtrial.consumer import AttentionParams, effective_lambda, entropy, optimal_q
-from subtrial.distributions import PiecewiseIsoElastic, Uniform
+from subtrial.distributions import PiecewiseIsoElastic, TruncatedWeibull, Uniform
 from subtrial.exceptions import DomainError
 from subtrial.market import (
     Contract,
@@ -94,6 +96,23 @@ class TestProfit:
         params = AttentionParams(2.0, 0.0)
         out = profit(ISO, params, Contract(T=0.0, P=1.0))
         assert out.standard_revenue == pytest.approx(ISO.kappa, rel=1e-12)
+
+    def test_reads_the_survivor_once(self):
+        dist = CountingWeibull(2.0, 0.5)
+        out = profit(dist, AttentionParams(2.0, 0.5), Contract(T=1.0, P=0.5))
+        assert dist.survivor_calls == [0.5]
+        assert out.standard_revenue == 0.5 * TruncatedWeibull(2.0, 0.5).survivor(0.5)
+
+
+@dataclass(frozen=True)
+class CountingWeibull(TruncatedWeibull):
+    """A TruncatedWeibull that records the valuations its survivor is called at."""
+
+    survivor_calls: list = field(default_factory=list)
+
+    def survivor(self, v):
+        self.survivor_calls.append(v)
+        return super().survivor(v)
 
 
 class TestSurplusIntegral:

@@ -74,14 +74,14 @@ class TestSolvePrice:
     def test_unique_sign_change_for_increasing_hazard(self, dist):
         sol = solve_price(dist, CORNER, 0.0, CFG)
         assert check_ifr(dist, CFG.price_window).is_ifr
-        assert sol.sign_changes == 1
+        assert len(sol.roots) == 1
 
     def test_profit_max_selected_with_multiple_roots(self):
         # decreasing-hazard tail: pick whichever root earns more
         dist = PiecewiseIsoElastic(kappa=0.1, eps=0.4, v0=0.2)
         params = AttentionParams(5.0, 0.5)
         sol = solve_price(dist, params, 0.0, ISO_CFG)
-        assert sol.sign_changes >= 1
+        assert len(sol.roots) >= 1
         profits = [profit(dist, params, Contract(T=0.0, P=r)).profit for r in sol.roots]
         assert profit(dist, params, Contract(T=0.0, P=sol.price)).profit == pytest.approx(
             max(profits)
@@ -102,7 +102,7 @@ class TestSolvePrice:
         # small tail weight: one root, and it beats the whole profit grid
         params = AttentionParams(2.5, 0.01)
         sol = solve_price(ISO_CURVE, params, 0.0, ISO_CFG)
-        assert sol.sign_changes == 1
+        assert len(sol.roots) == 1
         oracle = best_price_by_grid(ISO_CURVE, params, 0.0, ISO_CFG)
         assert sol.price == pytest.approx(oracle, abs=1e-6)
 
@@ -258,6 +258,16 @@ class TestJointOptimum:
         params = AttentionParams(12.0, 0.5, gamma=1.02)
         with pytest.raises(ConvergenceError):
             joint_optimum(dist, params, cfg)
+
+    def test_no_fixed_point_message_prints_python_floats(self):
+        # an iso-elastic benchmark draw whose locus candidates are not best prices at their T;
+        # the first candidate's T and P come from polished roots
+        dist = PiecewiseIsoElastic(kappa=0.08297784772944099, eps=0.6130647841243463, v0=0.039991350597081726)
+        params = AttentionParams(7.249586169418533, 0.07452963681168386, gamma=2.2249785659000656)
+        cfg = SolverConfig(price_window=PriceWindow(0.023138806593163492, 0.7613929190492569))
+        with pytest.raises(ConvergenceError, match="no fixed point") as err:
+            joint_optimum(dist, params, cfg)
+        assert "np.float64" not in str(err.value)
 
     def test_binding_mode_rides_profit_to_the_constraint(self):
         # strong attention leaves participation slack at short trials, so the
@@ -471,20 +481,27 @@ class TestPolish:
     def test_bitwise_equal_to_scipy_ridder_and_secant(self, case, max_iter):
         f, lo, hi = POLISH_CASES[case]
         config = SolverConfig(max_iter=max_iter)
-        root = _polish(f, lo, hi, config)
+        root = _polish(f, lo, hi, config)[0]
         assert root == scipy_polish(f, lo, hi, config)
         assert lo < root < hi
 
+    @pytest.mark.parametrize("case", POLISH_CASES)
+    def test_returns_floats_and_the_residual_at_its_root(self, case):
+        f, lo, hi = POLISH_CASES[case]
+        root, residual = _polish(f, np.float64(lo), np.float64(hi), CFG)
+        assert type(root) is float and type(residual) is float
+        assert np.array_equal(np.float64(residual).view(np.int64), np.float64(f(root)).view(np.int64))
+
     def test_jump_is_located_at_the_kink(self):
         f, lo, hi = POLISH_CASES["iso-kink-jump"]
-        assert _polish(f, lo, hi, CFG) == pytest.approx(ISO_CURVE.v0, abs=CFG.root_tol)
+        assert _polish(f, lo, hi, CFG)[0] == pytest.approx(ISO_CURVE.v0, abs=CFG.root_tol)
 
     @pytest.mark.parametrize("case", POLISH_CASES)
     def test_iteration_budget_matches_scipy(self, case):
         # the fewest iterations scipy needs are enough here too, one fewer raises
         f, lo, hi = POLISH_CASES[case]
         need = next(n for n in range(2, 200) if _converges(f, lo, hi, n))
-        assert _polish(f, lo, hi, SolverConfig(max_iter=need)) == scipy_polish(
+        assert _polish(f, lo, hi, SolverConfig(max_iter=need))[0] == scipy_polish(
             f, lo, hi, SolverConfig(max_iter=need)
         )
         with pytest.raises(ConvergenceError, match=f"in {need - 1} iterations"):
