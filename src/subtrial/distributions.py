@@ -18,6 +18,7 @@ All quantities are deterministic pure functions; there is no sampling here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -32,9 +33,33 @@ HAZARD_CAP = 1e12
 HAZARD_GRID, HAZARD_TOL = 512, 1e-12  # lambda_crit's scan and the bracket its argmax is refined to
 
 
-# composite 32-node Gauss-Legendre rule on [0, 1] in three equal panels
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-GL_NODES, GL_WEIGHTS = ((np.arange(3)[:, None] + (_GL_X + 1.0) / 2.0) / 3.0).ravel(), np.tile(_GL_W / 6.0, 3)
+@functools.cache
+def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of a composite 32-node Gauss-Legendre rule on [0, 1] in three equal
+    panels, read-only.  Built on first use, so importing the package loads no numpy.polynomial."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    rule = ((np.arange(3)[:, None] + (x + 1.0) / 2.0) / 3.0).ravel(), np.tile(w / 6.0, 3)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for floats lo != hi and n >= 2, bitwise, without numpy's generic
+    wrapper."""
+    grid = np.arange(n, dtype=float)
+    grid *= (hi - lo) / (n - 1)
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
+def geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.geomspace(lo, hi, n)`` for positive lo != hi and n >= 2, bitwise, without numpy's
+    generic wrapper."""
+    grid = np.power(10.0, linear_grid(np.log10(lo), np.log10(hi), n))
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 # numpy's kernels, named as math's; pow is libm's per element (numpy's own is an ulp off)
@@ -65,7 +90,7 @@ class PriceWindow:
             )
 
     def grid(self, n: int) -> np.ndarray:
-        return np.linspace(self.p_lo, self.p_hi, n)
+        return linear_grid(self.p_lo, self.p_hi, n)
 
 
 class ValuationDistribution:
@@ -84,7 +109,8 @@ class ValuationDistribution:
 
     def survivor(self, v: float) -> float:
         """P(V >= v); equals 1 - cdf(v), which checks v, except at a declared atom."""
-        return 1.0 - self.cdf(v) + self.atom_at_one * (v >= 1.0)
+        tail = 1.0 - self.cdf(v)
+        return tail + self.atom_at_one * (v >= 1.0) if self.atom_at_one else tail
 
     def hazard(self, v: float) -> float:
         """f(v) / survivor(v); raises when the survivor is numerically zero."""
@@ -124,7 +150,7 @@ class Uniform(ValuationDistribution):
     def cdf(self, v: float) -> float:
         if isinstance(v, _ARRAY):  # the clip is the branches below, bitwise
             _check_each(v, self._check_closed)
-            return np.clip((v - self.a) / (self.b - self.a), 0.0, 1.0)
+            return np.minimum(np.maximum((v - self.a) / (self.b - self.a), 0.0), 1.0)
         self._check_closed(v)
         if v <= self.a:
             return 0.0
@@ -164,44 +190,42 @@ class PiecewiseIsoElastic(ValuationDistribution):
             )
         object.__setattr__(self, "atom_at_one", self.kappa)
         object.__setattr__(self, "kinks", (self.v0,))
-
-    def _head_slope(self) -> float:
-        return (1.0 - self.kappa * self.v0 ** (-self.eps)) / self.v0
+        object.__setattr__(self, "_head_slope", (1.0 - self.kappa * self.v0 ** (-self.eps)) / self.v0)
 
     def cdf(self, v: float) -> float:
         self._check_closed(v)
         if v >= 1.0:
             return 1.0
         if v < self.v0:
-            return self._head_slope() * v
+            return self._head_slope * v
         return 1.0 - self.kappa * v ** (-self.eps)
 
     def pdf(self, v: float) -> float:
         if isinstance(v, _ARRAY):
             _check_each(v, self._check_open)
             tail = self.kappa * self.eps * np.float_power(np.maximum(v, self.v0), -self.eps - 1.0)
-            return np.where(v < self.v0, self._head_slope(), tail)
+            return np.where(v < self.v0, self._head_slope, tail)
         self._check_open(v)
         if v < self.v0:
-            return self._head_slope()
+            return self._head_slope
         return self.kappa * self.eps * v ** (-self.eps - 1.0)
 
     def survivor(self, v: float) -> float:
         if isinstance(v, _ARRAY):  # 1 ** -eps is exactly 1, so the tail is kappa at v = 1
             _check_each(v, self._check_closed)
             tail = self.kappa * np.float_power(np.maximum(v, self.v0), -self.eps)
-            return np.where(v >= self.v0, tail, 1.0 - self._head_slope() * v)
+            return np.where(v >= self.v0, tail, 1.0 - self._head_slope * v)
         self._check_closed(v)
         if v >= self.v0:
             # exact on the pricing region, including the atom value kappa at v = 1
             return self.kappa * v ** (-self.eps) if v < 1.0 else self.kappa
-        return 1.0 - self._head_slope() * v
+        return 1.0 - self._head_slope * v
 
     def surplus(self, P: float) -> float:
         """kappa (1 - m^(1-eps)) / (1 - eps), m = max(P, v0), plus the linear head below v0."""
         self._check_closed(P)
         m = max(P, self.v0)
-        head = (self.v0 - P) * (1.0 - self._head_slope() * (self.v0 + P) / 2.0) if P < self.v0 else 0.0
+        head = (self.v0 - P) * (1.0 - self._head_slope * (self.v0 + P) / 2.0) if P < self.v0 else 0.0
         return self.kappa * -math.expm1((1.0 - self.eps) * math.log(m)) / (1.0 - self.eps) + head
 
     def to_spec(self) -> dict:
@@ -218,31 +242,32 @@ class TruncatedWeibull(ValuationDistribution):
     def __post_init__(self) -> None:
         if not (self.k >= 1.0 and self.s > 0.0):
             raise DomainError(f"need shape k >= 1 and scale s > 0, got ({self.k}, {self.s})")
-
-    def _mass(self) -> float:
-        return 1.0 - math.exp(-((1.0 / self.s) ** self.k))
+        b = (1.0 / self.s) ** self.k  # the survivor's b, and the truncated mass 1 - e^-b
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_mass", 1.0 - math.exp(-b))
 
     def cdf(self, v: float) -> float:
         self._check_closed(v)
-        return (1.0 - math.exp(-((v / self.s) ** self.k))) / self._mass()
+        return (1.0 - math.exp(-((v / self.s) ** self.k))) / self._mass
 
     def survivor(self, v: float) -> float:
         """(e^-a - e^-b) / mass, a = (v/s)^k, b = (1/s)^k: precise in the tail."""
         _check_each(v, self._check_closed)
         xp = _NUMPY if isinstance(v, _ARRAY) else math
-        a, b = xp.pow(v / self.s, self.k), (1.0 / self.s) ** self.k
-        return xp.exp(-a) * -xp.expm1(a - b) / self._mass()
+        a = xp.pow(v / self.s, self.k)
+        return xp.exp(-a) * -xp.expm1(a - self._b) / self._mass
 
     def pdf(self, v: float) -> float:
         _check_each(v, self._check_open)
         z, xp = v / self.s, _NUMPY if isinstance(v, _ARRAY) else math
-        return (self.k / self.s) * xp.pow(z, self.k - 1.0) * xp.exp(-xp.pow(z, self.k)) / self._mass()
+        return (self.k / self.s) * xp.pow(z, self.k - 1.0) * xp.exp(-xp.pow(z, self.k)) / self._mass
 
     def surplus(self, P: float) -> float:
         """The survivor formula above integrated by a fixed Gauss-Legendre rule."""
         self._check_closed(P)
-        a, b = ((P + (1.0 - P) * GL_NODES) / self.s) ** self.k, (1.0 / self.s) ** self.k
-        return (1.0 - P) * float(GL_WEIGHTS @ (np.exp(-a) * -np.expm1(a - b))) / self._mass()
+        nodes, weights = gauss_legendre()
+        a = ((P + (1.0 - P) * nodes) / self.s) ** self.k
+        return (1.0 - P) * float(weights @ (np.exp(-a) * -np.expm1(a - self._b))) / self._mass
 
     def to_spec(self) -> dict:
         return {"family": "trunc_weibull", "k": self.k, "s": self.s}

@@ -20,11 +20,12 @@ over T instead does not work: profit is strictly increasing in T whenever
 beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
 stops that climb where utility, also a function of (lam_eff, P), is zero.
 Scans are array-valued and the polish is scalar: a scan of the locus in x is
-one numpy call on its grid, and the lambda-free half of the price condition,
-F and f on the window grid, is tabulated once per solve, so each window scan
-is one numpy call at its lambda_eff.  Each sign change a scan finds gets a
-Ridder polish on floats, except one that is the jump of the condition at a
-declared density kink inside its cell: it holds no root, and is not polished.
+one numpy call on its grid, and the lambda-free terms of the price condition
+on the window grid, 1 - F - P f, F + P f and P F, are tabulated once per
+solve, so each window scan only combines them with q* at its lambda_eff.
+Each sign change a scan finds gets a Ridder polish on floats, except one that
+is the jump of the condition at a declared density kink inside its cell: it
+holds no root, and is not polished.
 
 Quantitative warning baked into the implementation (and verified by the test
 suite): g(0) is negative unless baseline sensitivity is large.  For uniform
@@ -43,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
-from .distributions import (PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, golden_max,
-                            lambda_crit)
+from .distributions import (PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, geometric_grid,
+                            golden_max, lambda_crit)
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
 
@@ -115,26 +116,33 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
 
 def _price_condition(dist: ValuationDistribution, lam, P):
     """The price condition at (lam, P); at a scan's grid, one of them or both are arrays."""
-    return _price_terms(logistic_q(P, lam), lam, P, cancel_mass(dist, P), dist.pdf(P))
+    q = logistic_q(P, lam)
+    return _price_terms(q, lam, *_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)))
 
 
-def _price_terms(q, lam, P, F, f):
-    """The price condition from q* = q and the lambda-free F = F(P), f = f(P)."""
-    standard = 1.0 - F - P * f
-    inattentive = (1.0 - q) * (F + P * f) - P * F * lam * q * (1.0 - q)
-    return standard + inattentive
+def _lambda_free_terms(P, F, f):
+    """The terms of the price condition that P, F = F(P) and f = f(P) fix: the standard
+    margin 1 - F - P f, d(P F)/dP = F + P f and P F."""
+    Pf = P * f
+    return 1.0 - F - Pf, F + Pf, P * F
+
+
+def _price_terms(q, lam, standard, dPF, PF):
+    """The price condition from q* = q and the lambda-free terms at P."""
+    miss = 1.0 - q
+    return standard + (miss * dPF - PF * lam * q * miss)
 
 
 def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple[np.ndarray, ...]:
-    """(grid, F, f) on the price window's scan grid: the lambda-free half of every window scan."""
+    """(grid, 1 - F - P f, F + P f, P F) on the price window's scan grid: the lambda-free
+    terms of every window scan."""
     grid = config.price_window.grid(config.bracket_grid + 1)
-    return grid, cancel_mass(dist, grid), dist.pdf(grid)
+    return grid, *_lambda_free_terms(grid, cancel_mass(dist, grid), dist.pdf(grid))
 
 
 def _window_scan(table: tuple[np.ndarray, ...], lam: float) -> np.ndarray:
     """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
-    grid, F, f = table
-    return _price_terms(logistic_q(grid, lam), lam, grid, F, f)
+    return _price_terms(logistic_q(table[0], lam), lam, *table[1:])
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:
@@ -236,23 +244,29 @@ def _scan_roots(f, grid: np.ndarray, vals: np.ndarray, config: SolverConfig, kin
     across zero at a density kink).  A sign change that ``_is_jump`` at one of ``kinks``
     is not polished."""
     roots: list[float] = []
-    for i in np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False)):
+    products = vals[:-1] * vals[1:]
+    # cells whose product is not positive: a sign change (negative), or a zero or NaN product,
+    # of which only a zero left end is a root; the last point has no cell of its own
+    for i in np.flatnonzero(~(products > 0.0)):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        elif not _is_jump(f, grid[i], grid[i + 1], vals[i], vals[i + 1], kinks, config):
+        elif products[i] < 0.0 and not _is_jump(f, grid[i], grid[i + 1], vals[i], vals[i + 1], kinks, config):
             root, residual = _polish(f, grid[i], grid[i + 1], config)
             if abs(residual) <= config.root_tol:
                 roots.append(root)
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
     return roots
 
 
 def _best_price(
     dist: ValuationDistribution, lam: float, config: SolverConfig, table: tuple[np.ndarray, ...]
-) -> tuple[float, tuple[float, ...], bool]:
-    """Best price at effective sensitivity lam, as (price, roots, at_edge): the
+) -> tuple[float, tuple[float, ...], np.ndarray]:
+    """Best price at effective sensitivity lam, as (price, roots, vals): the
     revenue-maximizing root of the price condition on the scan of the window
-    ``table``, or, without a sign change, the window edge its sign points to.
-    Raises ``NoRootError`` when the condition changes sign only by jumps."""
+    ``table``, or, without a sign change, the window edge its sign points to;
+    vals is that scan.  Raises ``NoRootError`` when the condition changes sign
+    only by jumps."""
     w = config.price_window
     vals = _window_scan(table, lam)
     roots = _scan_roots(lambda p: _price_condition(dist, lam, p), table[0], vals, config, dist.kinks)
@@ -262,8 +276,9 @@ def _best_price(
                 f"price condition at lambda_eff={lam} crosses zero on ({w.p_lo}, {w.p_hi}) "
                 f"only by jumps at density kinks, so no root gives the best price"
             )
-        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
-    return max(roots, key=lambda p: revenue(dist, lam, p)), tuple(roots), False
+        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), vals
+    best = roots[0] if len(roots) == 1 else max(roots, key=lambda p: revenue(dist, lam, p))
+    return best, tuple(roots), vals
 
 
 def solve_price(
@@ -281,11 +296,11 @@ def solve_price(
     ``check_ifr``).
     """
     w = config.price_window
-    price, roots, _ = _best_price(dist, effective_lambda(params, T), config, _window_table(dist, config))
+    price, roots, vals = _best_price(dist, effective_lambda(params, T), config, _window_table(dist, config))
     if not roots:
         raise NoRootError(
             f"price condition has no sign change on ({w.p_lo}, {w.p_hi}) at T={T}; endpoint values "
-            f"{price_foc(dist, params, T, w.p_lo):.3e}, {price_foc(dist, params, T, w.p_hi):.3e}"
+            f"{vals[0]:.3e}, {vals[-1]:.3e}"
         )
     return PriceSolution(
         price=price,
@@ -340,15 +355,15 @@ def joint_optimum(
     w = config.price_window
     table = _window_table(dist, config)
     lam_hi = effective_lambda(params, 0.0)
-    P, _, at_edge = _best_price(dist, lam_hi, config, table)
+    P, roots, _ = _best_price(dist, lam_hi, config, table)
     if not _trial_positive(dist, params, lam_hi, P):
-        return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, at_edge)
+        return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, not roots)
     lam_lo = effective_lambda(params, config.t_max)
     ifr = functools.cache(lambda: check_ifr(dist, w).is_ifr)
     x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
-    x_grid = np.geomspace(x_top, x_bottom, config.bracket_grid + 1)
-    roots = _scan_roots(lambda x: _on_locus(dist, x), x_grid, _on_locus(dist, x_grid), config)
-    points = [(x, trial_terms(x)[2], False) for x in roots]
+    x_grid = geometric_grid(x_top, x_bottom, config.bracket_grid + 1)
+    x_roots = _scan_roots(lambda x: _on_locus(dist, x), x_grid, _on_locus(dist, x_grid), config)
+    points = [(x, trial_terms(x)[2], False) for x in x_roots]
     points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
     candidates = sorted(
         ((x / p, p, edge) for x, p, edge in points if lam_lo <= x / p <= lam_hi),
@@ -364,9 +379,9 @@ def joint_optimum(
     for lam, price, edge in candidates:
         if is_best_price(lam, price, edge):
             return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
-    P, _, at_edge = _best_price(dist, lam_lo, config, table)
+    P, roots, _ = _best_price(dist, lam_lo, config, table)
     if _trial_positive(dist, params, lam_lo, P):
-        return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, at_edge)
+        return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, not roots)
     tried = [(_trial_length(params, lam), price) for lam, price, _ in candidates]
     raise ConvergenceError(
         f"no fixed point: g(0) > 0 at the best price at T = 0, the locus candidates (T, P) "
@@ -376,6 +391,7 @@ def joint_optimum(
 
 def _assemble(dist, params, T, P, flags, at_edge) -> OptimalContract:
     contract = Contract(T=float(T), P=float(P))
+    T, P = contract.T, contract.P
     outcome = profit(dist, params, contract)
     if at_edge:
         flags = flags | {P_AT_WINDOW_EDGE}

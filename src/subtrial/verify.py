@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consumer import effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
-from .distributions import (GL_NODES, GL_WEIGHTS, SURVIVOR_FLOOR, PriceWindow, check_ifr, golden_max,
-                            lambda_crit)
+from .distributions import SURVIVOR_FLOOR, PriceWindow, check_ifr, gauss_legendre, golden_max, lambda_crit
 from .exceptions import SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
@@ -239,7 +238,7 @@ def _total_mass(dist) -> float:
     edges = [0.0, *(k for k in dist.kinks if 0.0 < k < 1.0), 1.0]
     return dist.atom_at_one + sum(
         3.0 * (hi - lo) * w * u * u * dist.pdf(lo + (hi - lo) * u**3)
-        for lo, hi in zip(edges, edges[1:]) for u, w in zip(GL_NODES, GL_WEIGHTS)
+        for lo, hi in zip(edges, edges[1:]) for u, w in zip(*gauss_legendre())
     )
 
 

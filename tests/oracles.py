@@ -197,14 +197,14 @@ def scan_roots_by_points(f, grid, config: SolverConfig) -> tuple[list[float], li
 
 
 def best_price_by_points(dist: ValuationDistribution, lam: float, config: SolverConfig):
-    """The best-price rule on the point-by-point scan, as (price, roots, at_edge):
+    """The best-price rule on the point-by-point scan, as (price, roots, vals):
     the revenue-maximizing root, else the window edge the condition's sign
-    points to; NoRootError when it changes sign only by jumps."""
+    points to, and the scan's values; NoRootError when it changes sign only by jumps."""
     w = config.price_window
     grid = np.linspace(w.p_lo, w.p_hi, config.bracket_grid + 1)
     roots, vals = scan_roots_by_points(lambda p: _price_condition(dist, lam, p), grid, config)
     if not roots:
         if min(vals) < 0.0 < max(vals):
             raise NoRootError(f"jump-only sign change at lambda_eff={lam}")
-        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), True
-    return max(roots, key=lambda p: revenue(dist, lam, p)), tuple(roots), False
+        return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), vals
+    return max(roots, key=lambda p: revenue(dist, lam, p)), tuple(roots), vals

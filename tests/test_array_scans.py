@@ -1,6 +1,7 @@
 """Array-valued scans: the numpy kernels against their scalar routes, and the
 solver's one-call grid scans against the point-by-point scan oracle."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -12,8 +13,10 @@ import pytest
 from oracles import best_price_by_points, scan_roots_by_points
 from subtrial import solver
 from subtrial.consumer import effective_lambda, logistic_q, trial_terms
-from subtrial.distributions import PiecewiseIsoElastic, TruncatedWeibull, Uniform
+from subtrial.distributions import (PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, gauss_legendre,
+                                    geometric_grid, linear_grid)
 from subtrial.exceptions import DomainError, NoRootError
+from subtrial.market import cancel_mass
 from subtrial.solver import (SolverConfig, _best_price, _locus_x, _on_locus, _price_condition, _scan_roots,
                              _window_scan, _window_table)
 
@@ -165,8 +168,26 @@ class TestPriceConditionArray:
     @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
     def test_table_scan_is_bitwise_the_array_condition(self, draw):
         table = _window_table(draw.dist, draw.config)
+        grid, F, f = table[0], cancel_mass(draw.dist, table[0]), draw.dist.pdf(table[0])
+        for column, want in zip(table[1:], (1.0 - F - grid * f, F + grid * f, grid * F)):
+            assert np.array_equal(bits(column), bits(want))
         for lam in scan_lambdas(draw):
             assert np.array_equal(_window_scan(table, lam), _price_condition(draw.dist, lam, table[0]))
+
+    @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
+    def test_condition_is_bitwise_its_formula(self, draw):
+        """The standard margin plus the inattentive one, each in the written order, on the
+        grid and at single prices."""
+        def formula(q, lam, P, F, f):
+            return (1.0 - F - P * f) + ((1.0 - q) * (F + P * f) - P * F * lam * q * (1.0 - q))
+
+        dist, grid = draw.dist, draw.config.price_window.grid(draw.config.bracket_grid + 1)
+        for lam in scan_lambdas(draw):
+            want = formula(logistic_q(grid, lam), lam, grid, cancel_mass(dist, grid), dist.pdf(grid))
+            assert np.array_equal(bits(_price_condition(dist, lam, grid)), bits(want))
+            for P in map(float, grid[::16]):
+                want = formula(logistic_q(P, lam), lam, P, cancel_mass(dist, P), dist.pdf(P))
+                assert bits(_price_condition(dist, lam, P)) == bits(want)
 
     def test_out_of_domain_element_raises(self):
         dist = Uniform()
@@ -191,11 +212,14 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
     def test_best_price_matches_point_scan(self, draw):
+        def decided(result):  # (price, roots, the scan's signs), or NoRootError
+            return result if result is NoRootError else (*result[:2], tuple(np.sign(result[2])))
+
         table = _window_table(draw.dist, draw.config)
         for lam in scan_lambdas(draw):
             got = outcome(lambda: _best_price(draw.dist, lam, draw.config, table))
             want = outcome(lambda: best_price_by_points(draw.dist, lam, draw.config))
-            assert got == want
+            assert decided(got) == decided(want)
 
     @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
     def test_locus_roots_match_point_scan(self, draw):
@@ -252,3 +276,147 @@ class TestDensityJumps:
         config = SolverConfig(max_iter=2)
         with pytest.raises(NoRootError):
             _best_price(dist, lam, config, _window_table(dist, config))
+
+
+class TestPlainGrids:
+    """The scan grids are numpy's linspace and geomspace, bitwise; a numpy whose functions
+    change their arithmetic fails here."""
+
+    SIZES = (2, 17, 65, 257, 513)
+
+    def test_linear_grid_is_linspace(self):
+        rng = random.Random(11)
+        for i in range(10_000):
+            if i % 2:  # a price window
+                lo = rng.random() * 10.0 ** -rng.randrange(4)
+                hi = lo + (1.0 - lo) * rng.random() * 10.0 ** -rng.randrange(12)
+            else:  # the log10 ends of a locus grid, either way round
+                lo, hi = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            n = self.SIZES[i % len(self.SIZES)]
+            assert np.array_equal(linear_grid(lo, hi, n), np.linspace(lo, hi, n)), (lo, hi, n)
+
+    def test_geometric_grid_is_geomspace(self):
+        rng = random.Random(12)
+        for i in range(10_000):
+            lo = 10.0 ** rng.uniform(-2.0, 3.0)
+            hi = lo * 10.0 ** (rng.choice((1.0, -1.0)) * rng.uniform(1e-9, 4.0))
+            n = self.SIZES[i % len(self.SIZES)]
+            assert np.array_equal(geometric_grid(lo, hi, n), np.geomspace(lo, hi, n)), (lo, hi, n)
+
+    @pytest.mark.parametrize("draw", SCAN_DRAWS[:6], ids=lambda d: repr(d.dist))
+    def test_solver_grids_are_numpys(self, draw):
+        w, config = draw.config.price_window, draw.config
+        n = config.bracket_grid + 1
+        assert np.array_equal(_window_table(draw.dist, config)[0], np.linspace(w.p_lo, w.p_hi, n))
+        x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
+        assert np.array_equal(geometric_grid(x_top, x_bottom, n), np.geomspace(x_top, x_bottom, n))
+
+
+def weibull_per_call(dist, method: str, v):
+    """The truncated Weibull's methods with b = (1/s)^k and the mass 1 - e^-b formed at every
+    call: the reference for the constants the instance stores."""
+    mass = 1.0 - math.exp(-((1.0 / dist.s) ** dist.k))
+    xp = np if isinstance(v, np.ndarray) else math
+    pow_ = np.float_power if xp is np else math.pow
+    if method == "cdf":
+        return (1.0 - math.exp(-((v / dist.s) ** dist.k))) / mass
+    if method == "survivor":
+        a, b = pow_(v / dist.s, dist.k), (1.0 / dist.s) ** dist.k
+        return xp.exp(-a) * -xp.expm1(a - b) / mass
+    if method == "pdf":
+        z = v / dist.s
+        return (dist.k / dist.s) * pow_(z, dist.k - 1.0) * xp.exp(-pow_(z, dist.k)) / mass
+    nodes, weights = gauss_legendre()
+    a, b = ((v + (1.0 - v) * nodes) / dist.s) ** dist.k, (1.0 / dist.s) ** dist.k
+    return (1.0 - v) * float(weights @ (np.exp(-a) * -np.expm1(a - b))) / mass
+
+
+def iso_per_call(dist, method: str, v):
+    """The iso-elastic methods below v0, where the head slope enters, with the slope formed at
+    every call; at and above v0 the method itself."""
+    head = (1.0 - dist.kappa * dist.v0 ** (-dist.eps)) / dist.v0
+    if method == "surplus":
+        below = (dist.v0 - v) * (1.0 - head * (dist.v0 + v) / 2.0) if v < dist.v0 else 0.0
+        return dist.kappa * -math.expm1((1.0 - dist.eps) * math.log(max(v, dist.v0))) / (1.0 - dist.eps) + below
+    below = {"cdf": head * v, "survivor": 1.0 - head * v, "pdf": head + 0.0 * v}[method]
+    return np.where(v < dist.v0, below, getattr(dist, method)(v))
+
+
+class TestFamilyConstants:
+    """Constants stored once per instance leave every method bitwise as it was."""
+
+    @pytest.mark.parametrize("draw", [d for d in SCAN_DRAWS if not isinstance(d.dist, Uniform)],
+                             ids=lambda d: repr(d.dist))
+    def test_methods_bitwise_as_before(self, draw):
+        dist = draw.dist
+        old = weibull_per_call if isinstance(dist, TruncatedWeibull) else iso_per_call
+        grid = draw.config.price_window.grid(draw.config.bracket_grid + 1)
+        points = [float(p) for p in grid[::16]] + list(dist.kinks)
+        for method in ("survivor", "pdf"):
+            assert np.array_equal(bits(getattr(dist, method)(grid)), bits(old(dist, method, grid))), method
+        for method in ("cdf", "survivor", "pdf", "surplus"):
+            for p in points:
+                assert bits(getattr(dist, method)(p)) == bits(old(dist, method, p)), (method, p)
+
+    def test_replace_recomputes_the_constants(self):
+        weibull, iso = TruncatedWeibull(2.0, 0.5), PiecewiseIsoElastic(0.3, 0.4, 0.2)
+        for dist, change in ((weibull, {"s": 0.3}), (weibull, {"k": 3.0}), (iso, {"kappa": 0.2}), (iso, {"v0": 0.5})):
+            new = dataclasses.replace(dist, **change)
+            fresh = type(dist)(**{**dataclasses.asdict(dist), **change})
+            for method in ("survivor", "pdf", "surplus"):
+                assert getattr(new, method)(0.3) == getattr(fresh, method)(0.3) != getattr(dist, method)(0.3)
+            assert new == fresh and hash(new) == hash(fresh) and repr(new) == repr(fresh)
+            assert dataclasses.fields(new) == dataclasses.fields(dist)
+
+
+def hits_by_two_masks(vals: np.ndarray) -> np.ndarray:
+    """The sign-change scan's hits from a mask of grid zeros and one of negative products."""
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        return np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False))
+
+
+class TestSignChangeMask:
+    CRAFTED = [
+        [0.0, 1.0, -1.0, 2.0, 0.0],  # zeros at both ends
+        [-0.0, 1.0, -0.0, -1.0, 1.0, -0.0],
+        [1e-200, -1e-200, 1e-200, 1e-300, -1e-170, 2.0],  # products that underflow to -0.0 and 0.0
+        [1.0, math.nan, -1.0, 0.0, math.nan, 0.0, -1.0],
+        [0.0, math.inf, -math.inf, 0.0, math.nan],
+        [1.0, 2.0],
+        [0.0, 0.0],
+        [-1.0, 1.0],
+    ]
+
+    @staticmethod
+    def scan_cells(monkeypatch, vals) -> list[float]:
+        """_scan_roots with each polished cell reported as its midpoint."""
+        monkeypatch.setattr(solver, "_polish", lambda f, lo, hi, config: (0.5 * (lo + hi), 0.0))
+        grid = np.arange(len(vals), dtype=float)
+        with np.errstate(invalid="ignore"):
+            return _scan_roots(lambda x: 1.0, grid, np.array(vals), CFG)
+
+    def test_crafted_arrays(self, monkeypatch):
+        for vals in self.CRAFTED:
+            want = [i if vals[i] == 0.0 else i + 0.5 for i in hits_by_two_masks(np.array(vals))]
+            assert self.scan_cells(monkeypatch, vals) == want, vals
+
+    def test_random_arrays(self, monkeypatch):
+        rng = random.Random(13)
+        pool = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e-170, math.nan, math.inf, -math.inf]
+        for _ in range(500):
+            vals = [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+                    for _ in range(rng.randrange(2, 12))]
+            want = [i if vals[i] == 0.0 else i + 0.5 for i in hits_by_two_masks(np.array(vals))]
+            assert self.scan_cells(monkeypatch, vals) == want, vals
+
+
+def test_best_price_of_one_root_reads_no_revenue(monkeypatch):
+    calls, revenue = [], solver.revenue
+    monkeypatch.setattr(solver, "revenue", lambda *args: calls.append(args) or revenue(*args))
+    one = Uniform()
+    assert len(_best_price(one, 2.0, CFG, _window_table(one, CFG))[1]) == 1
+    assert calls == []
+    # two roots: the revenue comparison runs (a decreasing-hazard tail)
+    two, config = PiecewiseIsoElastic(kappa=0.1, eps=0.4, v0=0.2), SolverConfig(price_window=PriceWindow(0.25, 0.9))
+    assert len(_best_price(two, 5.0, config, _window_table(two, config))[1]) == 2
+    assert len(calls) == 2

@@ -1,5 +1,5 @@
-"""The runtime needs numpy only: importing the package and its CLI loads no scipy.
-Modules share helpers by public name only."""
+"""The runtime needs numpy only: importing the package and its CLI loads no scipy, and
+no numpy.polynomial until a quadrature needs it.  Modules share helpers by public name only."""
 
 import ast
 import os
@@ -15,14 +15,16 @@ def test_package_and_cli_import_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     code = (
         "import sys, subtrial, subtrial.cli; print(subtrial.__file__); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    package_file, scipy_modules = run.stdout.splitlines()
+    package_file, scipy_modules, polynomial_modules = run.stdout.splitlines()
     assert Path(package_file).resolve().is_relative_to(SRC)
     assert scipy_modules == "[]"
+    assert polynomial_modules == "[]"
 
 
 # the array type and numpy's math-named kernels are shared low-level aliases, not helpers

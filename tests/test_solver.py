@@ -269,6 +269,14 @@ class TestJointOptimum:
             joint_optimum(dist, params, cfg)
         assert "np.float64" not in str(err.value)
 
+    def test_binding_mode_residuals_are_python_floats(self):
+        # seed-1 benchmark draw 8: binding_ir's golden-section price is a numpy float
+        dist = TruncatedWeibull(k=3.344059072926213, s=0.7158687667737258)
+        params = AttentionParams(29.164431722537973, 0.01039908162391296, gamma=2.302832480464871)
+        window = PriceWindow(0.17097676744887577, 0.8379235312941549)
+        opt = joint_optimum(dist, params, SolverConfig(window, max_iter=40, participation_mode="binding_ir"))
+        assert [type(r) for r in opt.foc_residuals] == [float, float]
+
     def test_binding_mode_rides_profit_to_the_constraint(self):
         # strong attention leaves participation slack at short trials, so the
         # constrained firm extends the trial until utility is exactly spent
