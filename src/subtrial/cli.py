@@ -11,6 +11,8 @@ verify  cross-module invariant checks (nonzero exit on violation)
 
 Every float is printed with 12 significant digits and rows are buffered and
 written in grid order, so identical inputs produce byte-identical files.
+A command scans plain float grids, so it loads no numpy unless a truncated
+Weibull's surplus needs its dot product.
 Exit codes: 0 success, 1 scenario validation failure, 2 solver failure,
 3 invariant violation from ``verify``.
 """
@@ -23,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
+from .distributions import _use_plain_grids
 from .exceptions import ScenarioError, SubtrialError
 from .heterogeneity import aggregate_loss, mps_pair
 from .market import profit
@@ -218,6 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    plain = _use_plain_grids(True)
+    try:
+        return _run(args)
+    finally:
+        _use_plain_grids(plain)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Load the scenario and run the command; returns the exit code."""
     try:
         sc = scenario_mod.load(args.scenario)
         if args.mode:

@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .distributions import _ARRAY, _NUMPY
+from .distributions import _NUMPY, _SCALAR
 from .exceptions import DomainError
 
 
@@ -99,14 +97,14 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
 
 def logistic_q(P, lam):
     """q* = 1 / (1 + exp(-lam P)) for P in [0, 1] and lam > 0, or arrays of them; cannot overflow."""
-    P_lo, P_hi = (P.min(initial=0.5), P.max(initial=0.5)) if isinstance(P, _ARRAY) else (P, P)
+    P_lo, P_hi = (P, P) if isinstance(P, _SCALAR) else (P.min(initial=0.5), P.max(initial=0.5))
     if P_lo < 0.0 or P_hi > 1.0:
         raise DomainError(f"price must lie in [0, 1], got {P_lo if P_lo < 0.0 else P_hi}")
-    lam_lo = lam.min(initial=0.5) if isinstance(lam, _ARRAY) else lam
+    lam_lo = lam if isinstance(lam, _SCALAR) else lam.min(initial=0.5)
     if lam_lo <= 0.0:
         raise DomainError(f"sensitivity must be positive, got {lam_lo}")
     x = lam * P
-    return 1.0 / (1.0 + (_NUMPY if isinstance(x, _ARRAY) else math).exp(-x))
+    return 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
 
 
 def monitoring_objective(q: float, P: float, lam: float) -> float:
@@ -121,7 +119,7 @@ def trial_terms(x):
     None is formed as 1 - q, so all keep full relative precision where q* rounds
     to one; pi has e^-x divided out, is finite until x^2 underflows (+inf after),
     falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2.  x may be an array."""
-    xp = _NUMPY if isinstance(x, _ARRAY) else math
+    xp = math if isinstance(x, _SCALAR) else _NUMPY
     e = xp.exp(-x)
     log_term = xp.log1p(e)
     q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
@@ -130,8 +128,8 @@ def trial_terms(x):
         log_ratio = log_term / e if e > 0.0 else 1.0
         locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
     else:  # the same limits per element: 0/0 is replaced by 1, and num/0 or an overflow is inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            locus_price = (1.0 + e) * (np.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
+        with _NUMPY.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            locus_price = (1.0 + e) * (_NUMPY.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
     return q, neg_entropy, locus_price, q_miss
 
 

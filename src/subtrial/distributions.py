@@ -14,6 +14,11 @@ Three families are supported:
 
 All quantities are deterministic pure functions; there is no sampling here.
 ``survivor`` and ``pdf`` also take an array of valuations: a scan's whole grid.
+
+Grids come in two kinds, one per scan route.  Library calls build numpy arrays
+and scan each in one array call; the CLI builds float tuples and scans them
+point by point through the scalar code, so that a command loads no numpy.  The
+grid builders here are the one place the route is chosen.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-
-import numpy as np
 
 from .exceptions import DomainError, SingularityError, UnboundedError
 
@@ -31,46 +33,95 @@ SURVIVOR_FLOOR = 1e-12
 IFR_STEP_TOL = 1e-9
 HAZARD_CAP = 1e12
 HAZARD_GRID, HAZARD_TOL = 512, 1e-12  # lambda_crit's scan and the bracket its argmax is refined to
+# The 32-node Gauss-Legendre rule on [-1, 1], numpy's leggauss(32) bitwise: its nodes are
+# symmetric and its weights even, so the nonnegative half of each is the rule.
+_GL_HALF_NODES = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+)
+_GL_HALF_WEIGHTS = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+)
+
+
+class _Numpy:
+    """numpy's functions by name, and pow for float_power (libm's pow per element; numpy's
+    own power can be an ulp off), each bound on first use: numpy loads with the first array."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = numpy.float_power if name == "pow" else getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+_NUMPY = _Numpy()
+_SCALAR = (float, int)  # a point, not an array: the scalar branch of every family method
+_plain = False  # the scan route: numpy arrays (False) or float tuples (True, the CLI's)
+
+
+def _use_plain_grids(plain: bool) -> bool:
+    """Build float-tuple grids from now on, or numpy ones; returns the previous choice."""
+    global _plain
+    previous, _plain = _plain, plain
+    return previous
 
 
 @functools.cache
-def gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+def gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(nodes, weights) of a composite 32-node Gauss-Legendre rule on [0, 1] in three equal
-    panels, read-only.  Built on first use, so importing the package loads no numpy.polynomial."""
-    x, w = np.polynomial.legendre.leggauss(32)
-    rule = ((np.arange(3)[:, None] + (x + 1.0) / 2.0) / 3.0).ravel(), np.tile(w / 6.0, 3)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    panels, as float tuples."""
+    x = (*(-v for v in reversed(_GL_HALF_NODES)), *_GL_HALF_NODES)
+    w = (*reversed(_GL_HALF_WEIGHTS), *_GL_HALF_WEIGHTS)
+    return tuple((j + (v + 1.0) / 2.0) / 3.0 for j in range(3) for v in x), tuple(v / 6.0 for v in w) * 3
 
 
-def linear_grid(lo: float, hi: float, n: int) -> np.ndarray:
+@functools.cache
+def _gauss_legendre_arrays() -> tuple:
+    """``gauss_legendre()`` as numpy arrays."""
+    return tuple(map(_NUMPY.array, gauss_legendre()))
+
+
+def linear_grid(lo: float, hi: float, n: int):
     """``np.linspace(lo, hi, n)`` for floats lo != hi and n >= 2, bitwise, without numpy's generic
-    wrapper."""
-    grid = np.arange(n, dtype=float)
-    grid *= (hi - lo) / (n - 1)
+    wrapper; a float tuple on the plain route."""
+    step = (hi - lo) / (n - 1)
+    if _plain:
+        return (*(i * step + lo for i in range(n - 1)), hi)
+    grid = _NUMPY.arange(n, dtype=float)
+    grid *= step
     grid += lo
     grid[-1] = hi
     return grid
 
 
-def geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.geomspace(lo, hi, n)`` for positive lo != hi and n >= 2, bitwise, without numpy's
-    generic wrapper."""
-    grid = np.power(10.0, linear_grid(np.log10(lo), np.log10(hi), n))
+def geometric_grid(lo: float, hi: float, n: int):
+    """``np.geomspace(lo, hi, n)`` for positive lo != hi and n >= 2, without numpy's generic
+    wrapper; a float tuple of libm's powers of ten on the plain route.  Bitwise numpy's where its
+    log10 and power are libm's; its SIMD kernels may differ from libm's by an ulp."""
+    if _plain:
+        grid = [10.0**x for x in linear_grid(math.log10(lo), math.log10(hi), n)]
+    else:
+        grid = _NUMPY.power(10.0, linear_grid(_NUMPY.log10(lo), _NUMPY.log10(hi), n))
     grid[0], grid[-1] = lo, hi
-    return grid
+    return tuple(grid) if _plain else grid
 
 
-# numpy's kernels, named as math's; pow is libm's per element (numpy's own is an ulp off)
-_NUMPY = SimpleNamespace(exp=np.exp, expm1=np.expm1, log1p=np.log1p, pow=np.float_power)
-_ARRAY = np.ndarray  # an alias: looking up np.ndarray costs as much as a float kernel
+def scan(f, grid):
+    """f at every point of a grid: one call on a numpy grid, a tuple of point calls on a plain one."""
+    return tuple(map(f, grid)) if type(grid) is tuple else f(grid)
 
 
 def _check_each(v, check) -> None:
     """``check`` of v, or of an array's smallest and largest element (a NaN reaches both, and
     an empty array passes)."""
-    if isinstance(v, _ARRAY):
+    if not isinstance(v, _SCALAR):
         check(v.min(initial=0.5))
         v = v.max(initial=0.5)
     check(v)
@@ -89,7 +140,7 @@ class PriceWindow:
                 f"price window must satisfy 0 < p_lo < p_hi < 1, got ({self.p_lo}, {self.p_hi})"
             )
 
-    def grid(self, n: int) -> np.ndarray:
+    def grid(self, n: int):
         return linear_grid(self.p_lo, self.p_hi, n)
 
 
@@ -148,9 +199,9 @@ class Uniform(ValuationDistribution):
         object.__setattr__(self, "kinks", (self.a, self.b))
 
     def cdf(self, v: float) -> float:
-        if isinstance(v, _ARRAY):  # the clip is the branches below, bitwise
+        if not isinstance(v, _SCALAR):  # the clip is the branches below, bitwise
             _check_each(v, self._check_closed)
-            return np.minimum(np.maximum((v - self.a) / (self.b - self.a), 0.0), 1.0)
+            return _NUMPY.minimum(_NUMPY.maximum((v - self.a) / (self.b - self.a), 0.0), 1.0)
         self._check_closed(v)
         if v <= self.a:
             return 0.0
@@ -201,20 +252,20 @@ class PiecewiseIsoElastic(ValuationDistribution):
         return 1.0 - self.kappa * v ** (-self.eps)
 
     def pdf(self, v: float) -> float:
-        if isinstance(v, _ARRAY):
+        if not isinstance(v, _SCALAR):
             _check_each(v, self._check_open)
-            tail = self.kappa * self.eps * np.float_power(np.maximum(v, self.v0), -self.eps - 1.0)
-            return np.where(v < self.v0, self._head_slope, tail)
+            tail = self.kappa * self.eps * _NUMPY.pow(_NUMPY.maximum(v, self.v0), -self.eps - 1.0)
+            return _NUMPY.where(v < self.v0, self._head_slope, tail)
         self._check_open(v)
         if v < self.v0:
             return self._head_slope
         return self.kappa * self.eps * v ** (-self.eps - 1.0)
 
     def survivor(self, v: float) -> float:
-        if isinstance(v, _ARRAY):  # 1 ** -eps is exactly 1, so the tail is kappa at v = 1
+        if not isinstance(v, _SCALAR):  # 1 ** -eps is exactly 1, so the tail is kappa at v = 1
             _check_each(v, self._check_closed)
-            tail = self.kappa * np.float_power(np.maximum(v, self.v0), -self.eps)
-            return np.where(v >= self.v0, tail, 1.0 - self._head_slope * v)
+            tail = self.kappa * _NUMPY.pow(_NUMPY.maximum(v, self.v0), -self.eps)
+            return _NUMPY.where(v >= self.v0, tail, 1.0 - self._head_slope * v)
         self._check_closed(v)
         if v >= self.v0:
             # exact on the pricing region, including the atom value kappa at v = 1
@@ -242,7 +293,12 @@ class TruncatedWeibull(ValuationDistribution):
     def __post_init__(self) -> None:
         if not (self.k >= 1.0 and self.s > 0.0):
             raise DomainError(f"need shape k >= 1 and scale s > 0, got ({self.k}, {self.s})")
-        b = (1.0 / self.s) ** self.k  # the survivor's b, and the truncated mass 1 - e^-b
+        try:  # the survivor's b, and the truncated mass 1 - e^-b
+            b = (1.0 / self.s) ** self.k
+        except OverflowError:
+            b = math.inf
+        if not math.isfinite(b):
+            raise DomainError(f"(1/s)^k overflows a float for k = {self.k}, s = {self.s}")
         object.__setattr__(self, "_b", b)
         object.__setattr__(self, "_mass", 1.0 - math.exp(-b))
 
@@ -253,21 +309,22 @@ class TruncatedWeibull(ValuationDistribution):
     def survivor(self, v: float) -> float:
         """(e^-a - e^-b) / mass, a = (v/s)^k, b = (1/s)^k: precise in the tail."""
         _check_each(v, self._check_closed)
-        xp = _NUMPY if isinstance(v, _ARRAY) else math
+        xp = math if isinstance(v, _SCALAR) else _NUMPY
         a = xp.pow(v / self.s, self.k)
         return xp.exp(-a) * -xp.expm1(a - self._b) / self._mass
 
     def pdf(self, v: float) -> float:
         _check_each(v, self._check_open)
-        z, xp = v / self.s, _NUMPY if isinstance(v, _ARRAY) else math
+        z, xp = v / self.s, math if isinstance(v, _SCALAR) else _NUMPY
         return (self.k / self.s) * xp.pow(z, self.k - 1.0) * xp.exp(-xp.pow(z, self.k)) / self._mass
 
     def surplus(self, P: float) -> float:
-        """The survivor formula above integrated by a fixed Gauss-Legendre rule."""
+        """The survivor formula above integrated by a fixed Gauss-Legendre rule.  Its sum is a
+        numpy dot product on either route, which no order of float additions reproduces."""
         self._check_closed(P)
-        nodes, weights = gauss_legendre()
+        nodes, weights = _gauss_legendre_arrays()
         a = ((P + (1.0 - P) * nodes) / self.s) ** self.k
-        return (1.0 - P) * float(weights @ (np.exp(-a) * -np.expm1(a - self._b))) / self._mass
+        return (1.0 - P) * float(weights @ (_NUMPY.exp(-a) * -_NUMPY.expm1(a - self._b))) / self._mass
 
     def to_spec(self) -> dict:
         return {"family": "trunc_weibull", "k": self.k, "s": self.s}
@@ -307,23 +364,39 @@ def check_ifr(dist: ValuationDistribution, window: PriceWindow, grid_n: int = 64
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
     v = window.grid(grid_n)
-    surv = dist.survivor(v)
-    v, surv = v[surv > SURVIVOR_FLOOR], surv[surv > SURVIVOR_FLOOR]
-    rate = dist.pdf(v) / surv
-    drops = np.flatnonzero(rate[1:] < rate[:-1] - IFR_STEP_TOL)
-    first = float(v[drops[0] + 1]) if drops.size else None
+    if type(v) is tuple:  # the plain route, point by point
+        v = [p for p in v if dist.survivor(p) > SURVIVOR_FLOOR]
+        rate = [dist.hazard(p) for p in v]
+        drops = [i for i in range(len(rate) - 1) if rate[i + 1] < rate[i] - IFR_STEP_TOL]
+    else:
+        surv = dist.survivor(v)
+        v, surv = v[surv > SURVIVOR_FLOOR], surv[surv > SURVIVOR_FLOOR]
+        rate = dist.pdf(v) / surv
+        drops = _NUMPY.flatnonzero(rate[1:] < rate[:-1] - IFR_STEP_TOL)
+    first = float(v[drops[0] + 1]) if len(drops) else None
     return IfrReport(is_ifr=first is None, first_violation=first, grid_n=grid_n)
+
+
+def argmax(values) -> int:
+    """``np.argmax`` of a sequence of floats: the first NaN, else the first largest value."""
+    best = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v > values[best]:
+            best = i
+    return best
 
 
 def argmax_bracket(grid, values) -> tuple[int, float, float]:
     """Index of the largest value and the grid points either side (an end stays put)."""
-    i = int(np.argmax(values))
+    i = argmax(values)
     return i, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
 
 
 def golden_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section search for a maximum of f on [lo, hi]: the midpoint of a bracket below tol."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)

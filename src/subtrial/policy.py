@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .consumer import AttentionParams
-from .distributions import PiecewiseIsoElastic, ValuationDistribution, window_max
+from .distributions import PiecewiseIsoElastic, ValuationDistribution, argmax, window_max
 from .exceptions import DomainError
 from .market import Contract, MarketOutcome, standard_revenue, surplus_integral
 from .solver import P_AT_WINDOW_EDGE, T_AT_ZERO, OptimalContract, SolverConfig, joint_optimum
@@ -80,9 +78,8 @@ def click_to_cancel_statics(
     dT = (bumped.contract.T - baseline.contract.T) / GAMMA_FD_STEP
     dP = (bumped.contract.P - baseline.contract.P) / GAMMA_FD_STEP
     eps = dist.eps if isinstance(dist, PiecewiseIsoElastic) else None
-    sign_rule = None
-    if eps is not None:
-        sign_rule = bool(np.sign(dP) == np.sign(1.0 - eps))
+    sign = lambda v: (v > 0.0) - (v < 0.0)  # np.sign's, with 0 in place of NaN
+    sign_rule = None if eps is None else sign(dP) == sign(1.0 - eps)
     return ComparativeStaticsReport(
         baseline=baseline,
         shocked=shocked,
@@ -136,8 +133,8 @@ def beta_profit_curve(
     for b in grid:
         opt = joint_optimum(dist, replace(params_base, beta=b), config)
         points.append(BetaCurvePoint(b, opt.outcome.profit, T_star=opt.contract.T, P_star=opt.contract.P))
-    profits = np.array([p.profit for p in points])
-    i = int(np.argmax(profits))
+    profits = [p.profit for p in points]
+    i = argmax(profits)
     interior = bool(profits[i] > max(profits[0], profits[-1]) + BETA_NOISE_TOL)
     return BetaCurve(points=tuple(points), argmax_beta=points[i].beta, interior_max=interior)
 

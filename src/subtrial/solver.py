@@ -19,10 +19,11 @@ law, and returns the fixed point with the smallest T.  Maximizing profit
 over T instead does not work: profit is strictly increasing in T whenever
 beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
 stops that climb where utility, also a function of (lam_eff, P), is zero.
-Scans are array-valued and the polish is scalar: a scan of the locus in x is
+Scans run on a grid and the polish is scalar: a scan of the locus in x is
 one numpy call on its grid, and the lambda-free terms of the price condition
 on the window grid, 1 - F - P f, F + P f and P F, are tabulated once per
-solve, so each window scan only combines them with q* at its lambda_eff.
+solve, so each window scan only combines them with q* at its lambda_eff.  On
+a plain float grid (the CLI's) each scan point goes through the scalar code.
 Each sign change a scan finds gets a Ridder polish on floats, except one that
 is the jump of the condition at a declared density kink inside its cell: it
 holds no root, and is not polished.
@@ -39,13 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
-from .distributions import (PriceWindow, ValuationDistribution, argmax_bracket, check_ifr, geometric_grid,
-                            golden_max, lambda_crit)
+from .distributions import (_NUMPY, PriceWindow, ValuationDistribution, argmax_bracket, check_ifr,
+                            geometric_grid, golden_max, lambda_crit, scan)
 from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
 
@@ -54,7 +54,7 @@ T_AT_MAX = "T_at_max"
 P_AT_WINDOW_EDGE = "P_at_window_edge"
 
 PARTICIPATION_MODES = ("interior", "binding_ir", "report_only")
-RIDDER_RTOL = 4.0 * np.finfo(float).eps  # relative part of the polish's bracket test
+RIDDER_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the polish's bracket test
 # In root_tol: a sign change whose one-sided values at a kink both exceed this is the kink's
 # jump.  A polish there lands within ~2e-10 of the kink, so it could only pass the root_tol
 # residual test where the condition's slope beside the kink exceeds ~5e4.
@@ -133,15 +133,19 @@ def _price_terms(q, lam, standard, dPF, PF):
     return standard + (miss * dPF - PF * lam * q * miss)
 
 
-def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple[np.ndarray, ...]:
+def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple:
     """(grid, 1 - F - P f, F + P f, P F) on the price window's scan grid: the lambda-free
-    terms of every window scan."""
+    terms of every window scan, as arrays or, on a plain grid, float tuples."""
     grid = config.price_window.grid(config.bracket_grid + 1)
+    if type(grid) is tuple:
+        return grid, *zip(*(_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)) for P in grid))
     return grid, *_lambda_free_terms(grid, cancel_mass(dist, grid), dist.pdf(grid))
 
 
-def _window_scan(table: tuple[np.ndarray, ...], lam: float) -> np.ndarray:
+def _window_scan(table: tuple, lam: float):
     """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
+    if type(table[0]) is tuple:
+        return tuple(_price_terms(logistic_q(P, lam), lam, standard, dPF, PF) for P, standard, dPF, PF in zip(*table))
     return _price_terms(logistic_q(table[0], lam), lam, *table[1:])
 
 
@@ -238,16 +242,21 @@ def _is_jump(f, lo: float, hi: float, f_lo: float, f_hi: float, kinks, config: S
     return left * f_lo > 0.0 and right * f_hi > 0.0 and min(abs(left), abs(right)) > margin
 
 
-def _scan_roots(f, grid: np.ndarray, vals: np.ndarray, config: SolverConfig, kinks=()) -> list[float]:
-    """Roots of f on the grid from its values ``vals`` there: each grid zero, and each
-    polished sign change whose residual is within ``root_tol`` (a larger one is a jump
-    across zero at a density kink).  A sign change that ``_is_jump`` at one of ``kinks``
-    is not polished."""
+def _scan_roots(f, grid, vals, config: SolverConfig, kinks=()) -> list[float]:
+    """Roots of f on the grid from its values ``vals`` there (arrays, or float tuples): each
+    grid zero, and each polished sign change whose residual is within ``root_tol`` (a larger
+    one is a jump across zero at a density kink).  A sign change that ``_is_jump`` at one of
+    ``kinks`` is not polished."""
     roots: list[float] = []
-    products = vals[:-1] * vals[1:]
     # cells whose product is not positive: a sign change (negative), or a zero or NaN product,
     # of which only a zero left end is a root; the last point has no cell of its own
-    for i in np.flatnonzero(~(products > 0.0)):
+    if type(vals) is tuple:
+        products = [a * b for a, b in zip(vals, vals[1:])]
+        cells = [i for i, product in enumerate(products) if not product > 0.0]
+    else:
+        products = vals[:-1] * vals[1:]
+        cells = _NUMPY.flatnonzero(~(products > 0.0))
+    for i in cells:
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif products[i] < 0.0 and not _is_jump(f, grid[i], grid[i + 1], vals[i], vals[i + 1], kinks, config):
@@ -260,8 +269,8 @@ def _scan_roots(f, grid: np.ndarray, vals: np.ndarray, config: SolverConfig, kin
 
 
 def _best_price(
-    dist: ValuationDistribution, lam: float, config: SolverConfig, table: tuple[np.ndarray, ...]
-) -> tuple[float, tuple[float, ...], np.ndarray]:
+    dist: ValuationDistribution, lam: float, config: SolverConfig, table: tuple
+) -> tuple[float, tuple[float, ...], object]:
     """Best price at effective sensitivity lam, as (price, roots, vals): the
     revenue-maximizing root of the price condition on the scan of the window
     ``table``, or, without a sign change, the window edge its sign points to;
@@ -271,7 +280,7 @@ def _best_price(
     vals = _window_scan(table, lam)
     roots = _scan_roots(lambda p: _price_condition(dist, lam, p), table[0], vals, config, dist.kinks)
     if not roots:
-        if vals.min() < 0.0 < vals.max():
+        if _changes_sign(vals):
             raise NoRootError(
                 f"price condition at lambda_eff={lam} crosses zero on ({w.p_lo}, {w.p_hi}) "
                 f"only by jumps at density kinks, so no root gives the best price"
@@ -279,6 +288,13 @@ def _best_price(
         return (w.p_hi if vals[-1] > 0.0 else w.p_lo), (), vals
     best = roots[0] if len(roots) == 1 else max(roots, key=lambda p: revenue(dist, lam, p))
     return best, tuple(roots), vals
+
+
+def _changes_sign(vals) -> bool:
+    """Whether the scan takes both signs, with no NaN: numpy's ``vals.min() < 0 < vals.max()``."""
+    if type(vals) is tuple:
+        return all(v == v for v in vals) and min(vals) < 0.0 < max(vals)
+    return vals.min() < 0.0 < vals.max()
 
 
 def solve_price(
@@ -362,7 +378,8 @@ def joint_optimum(
     ifr = functools.cache(lambda: check_ifr(dist, w).is_ifr)
     x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
     x_grid = geometric_grid(x_top, x_bottom, config.bracket_grid + 1)
-    x_roots = _scan_roots(lambda x: _on_locus(dist, x), x_grid, _on_locus(dist, x_grid), config)
+    on_locus = lambda x: _on_locus(dist, x)
+    x_roots = _scan_roots(on_locus, x_grid, scan(on_locus, x_grid), config)
     points = [(x, trial_terms(x)[2], False) for x in x_roots]
     points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
     candidates = sorted(

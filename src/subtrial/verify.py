@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .consumer import effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
-from .distributions import SURVIVOR_FLOOR, PriceWindow, check_ifr, gauss_legendre, golden_max, lambda_crit
+from .distributions import (SURVIVOR_FLOOR, PriceWindow, check_ifr, gauss_legendre, golden_max, lambda_crit,
+                            linear_grid, scan)
 from .exceptions import SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
@@ -61,7 +60,8 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
         if _smooth_point(dist, v, h)
     )
     add("distributions", "cdf_pdf_consistency", fd_err <= 1e-4, f"max rel err {fd_err:.2e}")
-    defined = grid[dist.survivor(grid) > SURVIVOR_FLOOR]  # the hazard is undefined at the floor
+    # the hazard is undefined at the floor
+    defined = [v for v, s in zip(grid, scan(dist.survivor, grid)) if s > SURVIVOR_FLOOR]
     hz_err = max((_rel_err(dist.hazard(v) * dist.survivor(v), dist.pdf(v)) for v in defined), default=0.0)
     add("distributions", "hazard_times_survivor", hz_err <= 1e-10, f"max rel err {hz_err:.2e}")
     mass = _total_mass(dist)
@@ -84,7 +84,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
             numeric = golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
             worst = max(worst, abs(optimal_q(P, lam).q_star - numeric))
     add("consumer", "closed_form_vs_direct_min", worst <= 1e-8, f"max |dq| {worst:.2e}")
-    qs = np.linspace(0.05, 0.95, 7)
+    qs = linear_grid(0.05, 0.95, 7)
     convex = all(
         entropy(0.5 * (a + b)) < 0.5 * (entropy(a) + entropy(b)) - 1e-12
         for a in qs
@@ -145,7 +145,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
     # --- solver ---
     worst = 0.0
     step = 1e-6
-    for P in np.linspace(window.p_lo + 0.05, window.p_hi - 0.05, 4):
+    for P in linear_grid(window.p_lo + 0.05, window.p_hi - 0.05, 4):
         for T in (0.0, 3.0):
             fd = (
                 profit(dist, params, Contract(T=T, P=P + step)).profit

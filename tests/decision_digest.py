@@ -1,6 +1,7 @@
 """Digest of the solver's decisions on the benchmark's seeded reoptimize draws.
 
     PYTHONPATH=src python tests/decision_digest.py SEED [SEED ...]
+    PYTHONPATH=src python tests/decision_digest.py --write
 
 For each seed, every draw of perfbench's ``Reoptimize().build(seed)`` is
 solved by ``joint_optimum`` in report_only mode, and every fourth draw also in
@@ -8,7 +9,10 @@ binding_ir mode.  A solve contributes the hex form of T and P, its sorted
 boundary flags and the reprs of its residuals and outcome; a failure
 contributes its exception type and message.  One line per seed gives the
 outcome counts and the SHA-256 of those contributions, so two versions of the
-program that decide alike print the same lines.  pytest does not collect this
+program that decide alike print the same lines.  ``--write`` rewrites
+``tests/golden/decisions.seed1.txt``, one line per seed-1 decision (index,
+mode, outcome, T and P in hex, sorted flags, or the exception type), which
+``test_decisions.py`` compares line by line.  pytest does not collect this
 file.
 """
 
@@ -23,30 +27,51 @@ import workloads  # noqa: E402  (perfbench's seeded model draws)
 
 from subtrial.solver import joint_optimum  # noqa: E402
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "decisions.seed1.txt"
 
-def decision(draw, mode: str) -> tuple[str, str]:
-    """(outcome name, contribution) of one solve."""
-    config = dataclasses.replace(draw.config, participation_mode=mode)
-    try:
-        opt = joint_optimum(draw.dist, draw.params, config)
-    except Exception as exc:  # every failure is a decision to record, not to stop on
-        return type(exc).__name__, f"{type(exc).__name__}: {exc}"
-    c = opt.contract
-    return "ok", f"{c.T.hex()} {c.P.hex()} {sorted(opt.boundary_flags)} {opt.foc_residuals!r} {opt.outcome!r}"
+
+def solves(seed: int):
+    """(index, mode, contract or exception) of every decision of the seed, in order."""
+    for i, draw in enumerate(workloads.Reoptimize().build(seed)):
+        for mode in ("report_only", "binding_ir") if i % 4 == 0 else ("report_only",):
+            config = dataclasses.replace(draw.config, participation_mode=mode)
+            try:
+                yield i, mode, joint_optimum(draw.dist, draw.params, config)
+            except Exception as exc:  # every failure is a decision to record, not to stop on
+                yield i, mode, exc
+
+
+def golden_lines(seed: int) -> list[str]:
+    """One short line per decision: the golden file's form."""
+    lines = []
+    for i, mode, opt in solves(seed):
+        if isinstance(opt, Exception):
+            lines.append(f"{i} {mode} {type(opt).__name__}")
+        else:
+            flags = "|".join(sorted(opt.boundary_flags)) or "none"
+            lines.append(f"{i} {mode} ok {opt.contract.T.hex()} {opt.contract.P.hex()} {flags}")
+    return lines
 
 
 def digest(seed: int) -> str:
     counts, sha = Counter(), hashlib.sha256()
-    for i, draw in enumerate(workloads.Reoptimize().build(seed)):
-        for mode in ("report_only", "binding_ir") if i % 4 == 0 else ("report_only",):
-            name, line = decision(draw, mode)
-            counts[f"{mode}:{name}"] += 1
-            sha.update(f"{i} {mode} {line}\n".encode())
+    for i, mode, opt in solves(seed):
+        if isinstance(opt, Exception):
+            name, line = type(opt).__name__, f"{type(opt).__name__}: {opt}"
+        else:
+            c = opt.contract
+            name = "ok"
+            line = f"{c.T.hex()} {c.P.hex()} {sorted(opt.boundary_flags)} {opt.foc_residuals!r} {opt.outcome!r}"
+        counts[f"{mode}:{name}"] += 1
+        sha.update(f"{i} {mode} {line}\n".encode())
     return f"seed {seed}: {dict(sorted(counts.items()))} sha256 {sha.hexdigest()}"
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text("\n".join(golden_lines(1)) + "\n")
+    elif len(sys.argv) < 2:
         sys.exit(__doc__)
-    for arg in sys.argv[1:]:
-        print(digest(int(arg)), flush=True)
+    else:
+        for arg in sys.argv[1:]:
+            print(digest(int(arg)), flush=True)

@@ -326,7 +326,7 @@ def weibull_per_call(dist, method: str, v):
     if method == "pdf":
         z = v / dist.s
         return (dist.k / dist.s) * pow_(z, dist.k - 1.0) * xp.exp(-pow_(z, dist.k)) / mass
-    nodes, weights = gauss_legendre()
+    nodes, weights = map(np.array, gauss_legendre())
     a, b = ((v + (1.0 - v) * nodes) / dist.s) ** dist.k, (1.0 / dist.s) ** dist.k
     return (1.0 - v) * float(weights @ (np.exp(-a) * -np.expm1(a - b))) / mass
 
@@ -408,6 +408,18 @@ class TestSignChangeMask:
                     for _ in range(rng.randrange(2, 12))]
             want = [i if vals[i] == 0.0 else i + 0.5 for i in hits_by_two_masks(np.array(vals))]
             assert self.scan_cells(monkeypatch, vals) == want, vals
+
+    def test_plain_tuples(self, monkeypatch):
+        """The plain route's float tuples give the hits of the arrays."""
+        monkeypatch.setattr(solver, "_polish", lambda f, lo, hi, config: (0.5 * (lo + hi), 0.0))
+        rng = random.Random(14)
+        pool = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e-170, math.nan, math.inf, -math.inf]
+        randoms = [[rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+                    for _ in range(rng.randrange(2, 12))] for _ in range(500)]
+        for vals in self.CRAFTED + randoms:
+            want = [i if vals[i] == 0.0 else i + 0.5 for i in hits_by_two_masks(np.array(vals))]
+            grid = tuple(float(i) for i in range(len(vals)))
+            assert _scan_roots(lambda x: 1.0, grid, tuple(vals), CFG) == want, vals
 
 
 def test_best_price_of_one_root_reads_no_revenue(monkeypatch):

@@ -1,0 +1,19 @@
+"""Every seed-1 decision of the benchmark's reoptimize draws, line for line.
+
+The lines live in ``tests/golden/decisions.seed1.txt``: per draw and mode the
+outcome, T and P in hex and the sorted flags, or the exception type.  A change
+meant to move decisions rewrites them with
+
+    PYTHONPATH=src python tests/decision_digest.py --write
+
+and lists the moved draws in CHANGES.md.
+"""
+
+from decision_digest import GOLDEN, golden_lines
+
+
+def test_seed1_decisions_match_golden():
+    want, got = GOLDEN.read_text().splitlines(), golden_lines(1)
+    moved = [f"golden {w!r} now {g!r}" for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) == 1375
+    assert moved == [], f"{len(moved)} decisions moved, first: {moved[:5]}"

@@ -232,6 +232,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             TruncatedWeibull(k=0.5, s=0.5)
 
+    @pytest.mark.parametrize("k,s", [(4.0, 1e-90), (1.0, 1e-320), (400.0, 0.1)])
+    def test_weibull_rejects_a_scale_whose_power_overflows(self, k, s):
+        # (1/s)^k beyond the float range: a raised OverflowError, or an infinite 1/s
+        with pytest.raises(DomainError, match="overflows"):
+            TruncatedWeibull(k=k, s=s)
+
     def test_from_spec_round_trip(self):
         for dist in FAMILIES:
             rebuilt = from_spec(dist.to_spec())

@@ -2,27 +2,35 @@
 
 The goldens live in ``tests/golden/<command>.<scenario>.csv``.  A command
 runs on a scenario when the scenario carries the blocks the command needs.
-After a change that is meant to move a number, rewrite them with
+``solve --mode binding_ir`` on every bundled scenario is pinned in
+``tests/golden/binding_ir/``: its CSV, or, where the solve fails, the exit
+code 2 and the message in ``solve.<scenario>.stderr``.  After a change that
+is meant to move a number, rewrite them with
 
     PYTHONPATH=src python tests/test_golden_csv.py
 
 and list every moved file, with its cause, in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from subtrial.cli import main
+from subtrial.cli import EXIT_OK, EXIT_SOLVER, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BINDING = GOLDEN / "binding_ir"
 COMMANDS = ("solve", "sweep", "policy", "paid", "hetero", "verify")
 # blocks a scenario must carry for the command to apply to it
 NEEDS = {"sweep": ("sweep",), "paid": ("signup",), "hetero": ("mixture", "contract")}
+# bundled scenarios on which the binding_ir solve fails: no price leaves utility nonnegative
+BINDING_FAILS = ("iso_elastic_curve", "policy_iso_elastic")
 
 
 def cli_pairs() -> list[tuple[str, str]]:
@@ -35,14 +43,27 @@ def cli_pairs() -> list[tuple[str, str]]:
     return pairs
 
 
-def run_pair(command: str, scenario: str, out: Path) -> int:
-    return main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(out)])
+def run_pair(command: str, scenario: str, out: Path, *mode: str) -> int:
+    return main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), *mode])
+
+
+def run_binding(scenario: str, out: Path) -> tuple[int, str]:
+    """(exit code, standard error) of ``solve --mode binding_ir`` on the scenario."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_pair("solve", scenario, out, "--mode", "binding_ir")
+    return code, err.getvalue()
 
 
 def test_every_supported_pair_has_a_golden():
     assert len(cli_pairs()) == 25
     assert sorted(p.name for p in GOLDEN.glob("*.csv")) == sorted(
         f"{command}.{scenario}.csv" for command, scenario in cli_pairs()
+    )
+    scenarios = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+    assert set(BINDING_FAILS) < set(scenarios)
+    assert sorted(p.name for p in BINDING.iterdir()) == sorted(
+        f"solve.{s}.{'stderr' if s in BINDING_FAILS else 'csv'}" for s in scenarios
     )
 
 
@@ -53,8 +74,26 @@ def test_csv_matches_golden(tmp_path, capsys, command, scenario):
     assert out.read_bytes() == (GOLDEN / f"{command}.{scenario}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("scenario", sorted(path.stem for path in SCENARIOS.glob("*.json")))
+def test_binding_ir_solve_matches_golden(tmp_path, scenario):
+    out = tmp_path / "out.csv"
+    code, err = run_binding(scenario, out)
+    if scenario in BINDING_FAILS:
+        assert (code, err) == (EXIT_SOLVER, (BINDING / f"solve.{scenario}.stderr").read_text())
+        assert not out.exists()
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        assert out.read_bytes() == (BINDING / f"solve.{scenario}.csv").read_bytes()
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    BINDING.mkdir(parents=True, exist_ok=True)
     for command, scenario in cli_pairs():
         if run_pair(command, scenario, GOLDEN / f"{command}.{scenario}.csv") != 0:
             sys.exit(f"{command} on {scenario} failed")
+    for path in sorted(SCENARIOS.glob("*.json")):
+        code, err = run_binding(path.stem, BINDING / f"solve.{path.stem}.csv")
+        if code == EXIT_SOLVER:
+            (BINDING / f"solve.{path.stem}.stderr").write_text(err)
+        elif code != EXIT_OK:
+            sys.exit(f"binding_ir solve on {path.stem} exited {code}")

@@ -1,34 +1,73 @@
-"""The runtime needs numpy only: importing the package and its CLI loads no scipy, and
-no numpy.polynomial until a quadrature needs it.  Modules share helpers by public name only."""
+"""The runtime needs numpy for library scans only: importing the package and its CLI loads
+no scipy and no numpy, and a CLI command on a bundled scenario runs without numpy.  The one
+exception is a truncated Weibull's surplus, a numpy dot product: a command that reads it,
+such as a Weibull solve, loads numpy.  Modules share helpers by public name only."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
-def test_package_and_cli_import_no_scipy():
+def run_python(code: str) -> list[str]:
+    """Standard output lines of ``python -c code`` with this checkout's package first on the path."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    code = (
-        "import sys, subtrial, subtrial.cli; print(subtrial.__file__); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
-    )
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    package_file, scipy_modules, polynomial_modules = run.stdout.splitlines()
+    return run.stdout.splitlines()
+
+
+def cli_calls_loading_numpy(calls: list[list[str]], out: Path) -> list[str]:
+    """Run the CLI argument lists in turn in one fresh interpreter; for each, the line
+    ``<exit code> <whether numpy is loaded after it>``."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from subtrial.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        exit_code = main([*argv, '--out', {str(out)!r}])\n"
+        "    print(exit_code, 'numpy' in sys.modules)\n"
+    )
+    return run_python(code)
+
+
+def test_cli_solve_and_verify_load_no_numpy(tmp_path):
+    calls = [[command, "--scenario", str(path)]
+             for path in sorted((ROOT / "scenarios").glob("*.json")) for command in ("solve", "verify")]
+    assert len(calls) == 14
+    assert cli_calls_loading_numpy(calls, tmp_path / "out.csv") == ["0 False"] * len(calls)
+
+
+def test_a_weibull_solve_loads_numpy_for_its_surplus(tmp_path):
+    record = json.loads((ROOT / "scenarios" / "interior_uniform.json").read_text())
+    record["distribution"] = {"family": "trunc_weibull", "k": 2.0, "s": 0.5}
+    scenario = tmp_path / "weibull.json"
+    scenario.write_text(json.dumps(record))
+    assert cli_calls_loading_numpy([["solve", "--scenario", str(scenario)]], tmp_path / "out.csv") == ["0 True"]
+
+
+def test_package_and_cli_import_no_scipy_and_no_numpy():
+    code = (
+        "import sys, subtrial, subtrial.cli; print(subtrial.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    package_file, scipy_modules, numpy_modules = run_python(code)
     assert Path(package_file).resolve().is_relative_to(SRC)
     assert scipy_modules == "[]"
-    assert polynomial_modules == "[]"
+    assert numpy_modules == "[]"
 
 
-# the array type and numpy's math-named kernels are shared low-level aliases, not helpers
-SHARED_PRIVATE = {("distributions", "_ARRAY"), ("distributions", "_NUMPY")}
+# the scalar types and numpy's lazily bound kernels are shared low-level aliases, not helpers,
+# and the CLI alone chooses the scan route
+SHARED_PRIVATE = {("distributions", "_SCALAR"), ("distributions", "_NUMPY"), ("distributions", "_use_plain_grids")}
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

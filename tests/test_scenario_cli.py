@@ -121,6 +121,16 @@ class TestCliSolve:
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
 
+    def test_weibull_scale_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["distribution"] = {"family": "trunc_weibull", "k": 4.0, "s": 1e-90}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", ["Infinity", "1e400", "256.7", "true"])
     def test_bracket_grid_must_be_a_json_integer(self, tmp_path, capsys, raw):
         # valid JSON values that are not integers: a grid size is never rounded
