@@ -102,20 +102,19 @@ def linear_grid(lo: float, hi: float, n: int):
 
 
 def geometric_grid(lo: float, hi: float, n: int):
-    """``np.geomspace(lo, hi, n)`` for positive lo != hi and n >= 2, without numpy's generic
-    wrapper; a float tuple of libm's powers of ten on the plain route.  Bitwise numpy's where its
-    log10 and power are libm's; its SIMD kernels may differ from libm's by an ulp."""
-    if _plain:
-        grid = [10.0**x for x in linear_grid(math.log10(lo), math.log10(hi), n)]
-    else:
-        grid = _NUMPY.power(10.0, linear_grid(_NUMPY.log10(lo), _NUMPY.log10(hi), n))
+    """n points from lo to hi, positive and unequal, evenly spaced in log10, with exact ends: libm's
+    powers of ten of ``linear_grid(math.log10(lo), math.log10(hi), n)`` on both routes, so their
+    grids are bitwise equal (numpy's SIMD log10 and power can be an ulp off libm's)."""
+    exponents = linear_grid(math.log10(lo), math.log10(hi), n)
+    grid = [10.0**x for x in exponents] if _plain else _NUMPY.pow(10.0, exponents)
     grid[0], grid[-1] = lo, hi
     return tuple(grid) if _plain else grid
 
 
-def scan(f, grid):
-    """f at every point of a grid: one call on a numpy grid, a tuple of point calls on a plain one."""
-    return tuple(map(f, grid)) if type(grid) is tuple else f(grid)
+def scan(f, grid, *aligned):
+    """f at every point of a grid and the same points of aligned grids: one call on numpy grids,
+    a tuple of point calls on plain ones."""
+    return tuple(map(f, grid, *aligned)) if type(grid) is tuple else f(grid, *aligned)
 
 
 def _check_each(v, check) -> None:
@@ -356,24 +355,18 @@ class IfrReport:
 def check_ifr(dist: ValuationDistribution, window: PriceWindow, grid_n: int = 64) -> IfrReport:
     """Check that the hazard is weakly increasing across the window.
 
-    Returns a report and never raises on the distribution: callers use this
-    as a diagnostic on whether price first-order conditions are guaranteed a
-    unique root.  Grid points whose survivor is at or below
-    ``SURVIVOR_FLOOR``, where the hazard is undefined, are skipped.
+    Returns a report and never raises on the distribution.  A diagnostic of
+    the hazard alone: with the inattentive margin in the price condition, an
+    increasing hazard does not make its root unique.  Grid points whose
+    survivor is at or below ``SURVIVOR_FLOOR``, where the hazard is undefined,
+    are skipped.
     """
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
-    v = window.grid(grid_n)
-    if type(v) is tuple:  # the plain route, point by point
-        v = [p for p in v if dist.survivor(p) > SURVIVOR_FLOOR]
-        rate = [dist.hazard(p) for p in v]
-        drops = [i for i in range(len(rate) - 1) if rate[i + 1] < rate[i] - IFR_STEP_TOL]
-    else:
-        surv = dist.survivor(v)
-        v, surv = v[surv > SURVIVOR_FLOOR], surv[surv > SURVIVOR_FLOOR]
-        rate = dist.pdf(v) / surv
-        drops = _NUMPY.flatnonzero(rate[1:] < rate[:-1] - IFR_STEP_TOL)
-    first = float(v[drops[0] + 1]) if len(drops) else None
+    v = [p for p in map(float, window.grid(grid_n)) if dist.survivor(p) > SURVIVOR_FLOOR]
+    rate = [dist.hazard(p) for p in v]
+    drops = [i for i in range(len(rate) - 1) if rate[i + 1] < rate[i] - IFR_STEP_TOL]
+    first = v[drops[0] + 1] if drops else None
     return IfrReport(is_ifr=first is None, first_violation=first, grid_n=grid_n)
 
 

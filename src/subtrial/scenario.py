@@ -160,7 +160,11 @@ def from_dict(record: dict) -> Scenario:
 
 def load(path: str | Path) -> Scenario:
     try:
-        record = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    try:
+        record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return from_dict(record)

@@ -38,15 +38,15 @@ beta and gamma, which pins the optimal price as well.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
-from .distributions import (_NUMPY, PriceWindow, ValuationDistribution, argmax_bracket, check_ifr,
-                            geometric_grid, golden_max, lambda_crit, scan)
-from .exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
+from .distributions import (_NUMPY, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid, golden_max,
+                            lambda_crit, scan)
+from .exceptions import (ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError,
+                         UnboundedError)
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
 
 T_AT_ZERO = "T_at_zero"
@@ -144,9 +144,7 @@ def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple:
 
 def _window_scan(table: tuple, lam: float):
     """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
-    if type(table[0]) is tuple:
-        return tuple(_price_terms(logistic_q(P, lam), lam, standard, dPF, PF) for P, standard, dPF, PF in zip(*table))
-    return _price_terms(logistic_q(table[0], lam), lam, *table[1:])
+    return scan(lambda P, standard, dPF, PF: _price_terms(logistic_q(P, lam), lam, standard, dPF, PF), *table)
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:
@@ -307,9 +305,8 @@ def solve_price(
 
     Every sign change on the `bracket_grid` scan but a density kink's jump is
     polished; with several roots the profit-maximizing one is selected and all
-    are reported.
-    Uniqueness is only guaranteed for increasing-hazard families (see
-    ``check_ifr``).
+    are reported.  An increasing hazard does not make the root unique: the
+    inattentive margin can add roots.
     """
     w = config.price_window
     price, roots, vals = _best_price(dist, effective_lambda(params, T), config, _window_table(dist, config))
@@ -356,8 +353,7 @@ def joint_optimum(
     corner at the best price there, valid when g(0) <= 0; the price roots
     along the g = 0 locus (scanned in x on ``bracket_grid`` cells) and the
     locus points on the window edges, valid when the price is the best price
-    at that lambda_eff (a root is unique under an increasing hazard, so no
-    re-solve then); the T cap, valid when g is still positive there.  With
+    at that lambda_eff; the T cap, valid when g is still positive there.  With
     no valid candidate ``ConvergenceError`` names them.  ``interior`` and
     ``report_only`` run this unconstrained solve, and participation is
     evaluated and reported, never enforced.  ``binding_ir`` mode instead
@@ -375,7 +371,6 @@ def joint_optimum(
     if not _trial_positive(dist, params, lam_hi, P):
         return _assemble(dist, params, 0.0, P, {T_AT_ZERO}, not roots)
     lam_lo = effective_lambda(params, config.t_max)
-    ifr = functools.cache(lambda: check_ifr(dist, w).is_ifr)
     x_top, x_bottom = _locus_x(w.p_hi, config), _locus_x(w.p_lo, config)
     x_grid = geometric_grid(x_top, x_bottom, config.bracket_grid + 1)
     on_locus = lambda x: _on_locus(dist, x)
@@ -386,15 +381,9 @@ def joint_optimum(
         ((x / p, p, edge) for x, p, edge in points if lam_lo <= x / p <= lam_hi),
         key=lambda c: -c[0],
     )
-
-    def is_best_price(lam: float, price: float, edge: bool) -> bool:
-        if not edge and ifr():
-            return True
-        same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
-        return abs(_best_price(dist, lam, config, table)[0] - price) <= same_root
-
     for lam, price, edge in candidates:
-        if is_best_price(lam, price, edge):
+        same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
+        if abs(_best_price(dist, lam, config, table)[0] - price) <= same_root:
             return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
     P, roots, _ = _best_price(dist, lam_lo, config, table)
     if _trial_positive(dist, params, lam_lo, P):
@@ -476,15 +465,18 @@ def price_response_curve(
     """Best-response price per trial length.
 
     When the baseline sensitivity exceeds the hazard supremum over the window
-    the curve is expected to rise strictly with T; in that case a violation
-    raises.  Pass ``assert_increasing`` to override the automatic hypothesis
-    check.
+    the curve is expected to rise strictly with T, and a violation raises.  A
+    window without a finite supremum expects no rise.  Pass
+    ``assert_increasing`` to override the automatic hypothesis check.
     """
     config = config or SolverConfig()
     curve = [(float(T), solve_price(dist, params, T, config).price) for T in sorted(T_grid)]
     if assert_increasing is None:
-        crit = lambda_crit(dist, config.price_window)
-        assert_increasing = params.beta > 0.0 and params.gamma * params.lambda0 > crit
+        try:
+            crit = lambda_crit(dist, config.price_window)
+            assert_increasing = params.beta > 0.0 and params.gamma * params.lambda0 > crit
+        except (SingularityError, UnboundedError):
+            assert_increasing = False
     if assert_increasing:
         for (t0, p0), (t1, p1) in zip(curve, curve[1:]):
             if p1 <= p0:

@@ -131,6 +131,15 @@ class TestCliSolve:
         assert capsys.readouterr().err.startswith("scenario error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing.json", "a_directory", "latin1.json"])
+    def test_unreadable_scenario_file_exits_1(self, tmp_path, capsys, where):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--scenario", str(tmp_path / where), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error: cannot read scenario file")
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", ["Infinity", "1e400", "256.7", "true"])
     def test_bracket_grid_must_be_a_json_integer(self, tmp_path, capsys, raw):
         # valid JSON values that are not integers: a grid size is never rounded

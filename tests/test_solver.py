@@ -8,8 +8,8 @@ from scipy.optimize import ridder
 
 from oracles import best_price_by_grid, binding_by_grid, joint_by_grid
 from subtrial.consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
-from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, check_ifr
-from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, TrialBoundError
+from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, check_ifr, lambda_crit
+from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
 from subtrial.solver import (
     P_AT_WINDOW_EDGE,
@@ -560,6 +560,18 @@ class TestPriceResponseCurve:
         assert g_P < 0.0
         assert g_T > 0.0
         assert np.sign(fd_slope) == np.sign(-g_T / g_P)
+
+    def test_no_finite_hazard_supremum_leaves_the_curve_unchecked(self):
+        """The survivor vanishes inside the window, so lambda_crit raises and there is no
+        supremum for the automatic hypothesis to exceed; a claimed rise is still checked."""
+        dist, config = Uniform(0.1, 0.5), SolverConfig(price_window=PriceWindow(0.05, 0.95))
+        params = AttentionParams(lambda0=20.0, beta=0.5)
+        with pytest.raises(SingularityError):
+            lambda_crit(dist, config.price_window)
+        curve = price_response_curve(dist, params, [0.0, 1.0, 3.0], config)
+        assert [T for T, _ in curve] == [0.0, 1.0, 3.0]
+        with pytest.raises(MonotonicityError):
+            price_response_curve(dist, params, [0.0, 1.0, 3.0], config, assert_increasing=True)
 
     def test_violation_raises_when_hypothesis_claimed(self):
         params = AttentionParams(2.0, 0.0)  # flat curve
