@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -49,9 +49,11 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows: list[list[object]]) -> None:
-    lines = [f"# {comment}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: str, comment: str, rows: list[dict[str, object]]) -> None:
+    """Write the rows, each a dict from column name to value in column order, under a
+    header of the first row's keys."""
+    lines = [f"# {comment}", ",".join(rows[0])]
+    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -65,19 +67,16 @@ def _maybe_round(T: float, round_t: bool) -> float:
 
 def _cmd_solve(sc: Scenario, out: str, round_t: bool) -> None:
     opt = joint_optimum(sc.distribution, sc.attention, sc.solver)
-    header = [
-        "scenario", "mode", "T_star", "P_star", "profit", "standard_revenue",
-        "inattentive_revenue", "utility", "ir_slack", "q_star", "lambda_eff",
-        "price_residual", "trial_residual", "flags", "participation_satisfied",
-    ]
-    row = [
-        sc.name, sc.solver.participation_mode, _maybe_round(opt.contract.T, round_t),
-        opt.contract.P, opt.outcome.profit, opt.outcome.standard_revenue,
-        opt.outcome.inattentive_revenue, opt.outcome.utility, opt.outcome.ir_slack,
-        opt.outcome.q_star, opt.outcome.lambda_eff, opt.foc_residuals[0],
-        opt.foc_residuals[1], _flags(opt), opt.participation_satisfied,
-    ]
-    _write_csv(out, "joint contract optimum, one row per scenario", header, [row])
+    o = opt.outcome
+    row = {
+        "scenario": sc.name, "mode": sc.solver.participation_mode,
+        "T_star": _maybe_round(opt.contract.T, round_t), "P_star": opt.contract.P, "profit": o.profit,
+        "standard_revenue": o.standard_revenue, "inattentive_revenue": o.inattentive_revenue,
+        "utility": o.utility, "ir_slack": o.ir_slack, "q_star": o.q_star, "lambda_eff": o.lambda_eff,
+        "price_residual": opt.foc_residuals[0], "trial_residual": opt.foc_residuals[1],
+        "flags": _flags(opt), "participation_satisfied": opt.participation_satisfied,
+    }
+    _write_csv(out, "joint contract optimum, one row per scenario", [row])
 
 
 def _sweep_point(sc: Scenario, value: float):
@@ -99,55 +98,42 @@ def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
     if sc.sweep is None:
         raise ScenarioError("scenario has no sweep block")
     results = [_sweep_point(sc, v) for v in sc.sweep.grid]
-    header = [
-        "scenario", "param", "value", "T", "P", "standard_revenue", "inattentive_revenue",
-        "profit", "utility", "ir_slack", "q_star", "lambda_eff",
+    rows = [
+        {"scenario": sc.name, "param": sc.sweep.param, "value": value, "T": _maybe_round(contract.T, round_t),
+         "P": contract.P, **asdict(outcome)}
+        for value, (contract, outcome) in zip(sc.sweep.grid, results)
     ]
-    rows = []
-    for value, (contract, outcome) in zip(sc.sweep.grid, results):
-        rows.append([
-            sc.name, sc.sweep.param, value, _maybe_round(contract.T, round_t), contract.P,
-            outcome.standard_revenue, outcome.inattentive_revenue, outcome.profit,
-            outcome.utility, outcome.ir_slack, outcome.q_star, outcome.lambda_eff,
-        ])
-    _write_csv(out, "market outcome per sweep grid point, buffered in grid order", header, rows)
+    _write_csv(out, "market outcome per sweep grid point, buffered in grid order", rows)
 
 
 def _cmd_policy(sc: Scenario, out: str, round_t: bool) -> None:
     shock = sc.shock or PolicyShock(gamma=2.0, label="default_boost")
     report = click_to_cancel_statics(sc.distribution, sc.attention, shock, sc.solver)
-    header = [
-        "scenario", "shock_gamma", "shock_label", "T_base", "P_base", "profit_base",
-        "T_shocked", "P_shocked", "profit_shocked", "dT_dGamma", "dP_dGamma",
-        "epsilon_used", "sign_rule_holds", "baseline_interior",
-    ]
-    row = [
-        sc.name, shock.gamma, shock.label or "none",
-        _maybe_round(report.baseline.contract.T, round_t), report.baseline.contract.P,
-        report.baseline.outcome.profit,
-        _maybe_round(report.shocked.contract.T, round_t), report.shocked.contract.P,
-        report.shocked.outcome.profit, report.dT_dGamma, report.dP_dGamma,
-        "none" if report.epsilon_used is None else report.epsilon_used,
-        "n/a" if report.sign_rule_holds is None else report.sign_rule_holds,
-        report.baseline_interior,
-    ]
-    _write_csv(out, "attention-shock comparative statics", header, [row])
+    base, shocked = report.baseline, report.shocked
+    row = {
+        "scenario": sc.name, "shock_gamma": shock.gamma, "shock_label": shock.label or "none",
+        "T_base": _maybe_round(base.contract.T, round_t), "P_base": base.contract.P,
+        "profit_base": base.outcome.profit, "T_shocked": _maybe_round(shocked.contract.T, round_t),
+        "P_shocked": shocked.contract.P, "profit_shocked": shocked.outcome.profit,
+        "dT_dGamma": report.dT_dGamma, "dP_dGamma": report.dP_dGamma,
+        "epsilon_used": "none" if report.epsilon_used is None else report.epsilon_used,
+        "sign_rule_holds": "n/a" if report.sign_rule_holds is None else report.sign_rule_holds,
+        "baseline_interior": report.baseline_interior,
+    }
+    _write_csv(out, "attention-shock comparative statics", [row])
 
 
 def _cmd_paid(sc: Scenario, out: str, round_t: bool) -> None:
     if sc.signup is None:
         raise ScenarioError("scenario has no signup block")
     opt = joint_paid_optimum(sc.distribution, sc.attention, sc.signup, sc.solver)
-    header = [
-        "scenario", "alpha", "theta", "T_star", "P_star", "P0_star", "p_aug",
-        "signup_rate", "profit", "corner", "capped",
-    ]
-    row = [
-        sc.name, sc.signup.alpha, sc.signup.theta, _maybe_round(opt.contract.T, round_t),
-        opt.contract.P, opt.contract.P0, opt.p_aug, opt.signup_rate, opt.profit,
-        opt.corner, opt.capped,
-    ]
-    _write_csv(out, "paid-trial joint optimum", header, [row])
+    row = {
+        "scenario": sc.name, "alpha": sc.signup.alpha, "theta": sc.signup.theta,
+        "T_star": _maybe_round(opt.contract.T, round_t), "P_star": opt.contract.P,
+        "P0_star": opt.contract.P0, "p_aug": opt.p_aug, "signup_rate": opt.signup_rate,
+        "profit": opt.profit, "corner": opt.corner, "capped": opt.capped,
+    }
+    _write_csv(out, "paid-trial joint optimum", [row])
 
 
 def _cmd_hetero(sc: Scenario, out: str, round_t: bool) -> None:
@@ -155,30 +141,26 @@ def _cmd_hetero(sc: Scenario, out: str, round_t: bool) -> None:
         raise ScenarioError("scenario has no mixture block")
     if sc.contract is None:
         raise ScenarioError("hetero command needs a base contract block")
-    mixture = sc.mixture
-    contract = sc.contract
+    mixture, contract = sc.mixture, sc.contract
     loss = aggregate_loss(sc.distribution, mixture, contract)
     base, _ = mps_pair(mixture.mean_z(), 0.0)
     point_loss = aggregate_loss(sc.distribution, base, contract)
-    header = [
-        "scenario", "T", "P", "n_atoms", "mean_z", "aggregate_loss",
-        "point_mass_loss", "spread_premium",
-    ]
-    row = [
-        sc.name, _maybe_round(contract.T, round_t), contract.P, len(mixture.atoms),
-        mixture.mean_z(), loss, point_loss, loss - point_loss,
-    ]
-    _write_csv(out, "aggregate inattentive loss for the scenario mixture", header, [row])
+    row = {
+        "scenario": sc.name, "T": _maybe_round(contract.T, round_t), "P": contract.P,
+        "n_atoms": len(mixture.atoms), "mean_z": mixture.mean_z(), "aggregate_loss": loss,
+        "point_mass_loss": point_loss, "spread_premium": loss - point_loss,
+    }
+    _write_csv(out, "aggregate inattentive loss for the scenario mixture", [row])
 
 
 def _cmd_verify(sc: Scenario, out: str, round_t: bool) -> int:
     checks = run_invariant_checks(sc)
-    header = ["scenario", "module", "check", "status", "detail"]
     rows = [
-        [sc.name, c.module, c.name, "pass" if c.ok else "FAIL", c.detail.replace(",", ";")]
+        {"scenario": sc.name, "module": c.module, "check": c.name, "status": "pass" if c.ok else "FAIL",
+         "detail": c.detail.replace(",", ";")}
         for c in checks
     ]
-    _write_csv(out, "invariant checks, one row per check", header, rows)
+    _write_csv(out, "invariant checks, one row per check", rows)
     failures = [c for c in checks if not c.ok]
     for c in checks:
         print(f"[{'pass' if c.ok else 'FAIL'}] {c.module}.{c.name}: {c.detail}")

@@ -76,6 +76,17 @@ def effective_lambda(params: AttentionParams, T: float) -> float:
     return lam
 
 
+def trial_length(params: AttentionParams, lam: float) -> float:
+    """Inverse of the decay law: the T at which ``effective_lambda(params, T)`` is lam; needs beta > 0."""
+    return (params.gamma * params.lambda0 / lam - 1.0) / params.beta
+
+
+def cost_slope(params: AttentionParams) -> float:
+    """beta / (gamma * lambda0): the rate at which each period of trial raises the unit attention
+    cost 1 / lam(T) = (1 + beta T) / (gamma lambda0)."""
+    return params.beta / (params.gamma * params.lambda0)
+
+
 def optimal_q(P: float, lam: float) -> MonitoringSolution:
     """Closed-form minimizer of the monitoring objective, from the ``trial_terms`` at x = lam P.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .exceptions import DomainError, SingularityError, UnboundedError
 
@@ -150,6 +150,7 @@ class ValuationDistribution:
     #: probability mass concentrated at v = 1 (zero for continuous families)
     atom_at_one: float = 0.0
     kinks: tuple[float, ...] = ()  #: valuations where the density jumps
+    family = ""  #: the family's tag in scenario files
 
     def cdf(self, v: float) -> float:
         raise NotImplementedError
@@ -172,7 +173,8 @@ class ValuationDistribution:
         return self.pdf(v) / surv
 
     def to_spec(self) -> dict:
-        raise NotImplementedError
+        """The tagged record of scenario files: the family's tag, then its fields."""
+        return {"family": self.family, **asdict(self)}
 
     @staticmethod
     def _check_closed(v: float) -> None:
@@ -189,6 +191,7 @@ class ValuationDistribution:
 class Uniform(ValuationDistribution):
     """Uniform valuations on [a, b] with 0 <= a < b <= 1."""
 
+    family = "uniform"
     a: float = 0.0
     b: float = 1.0
 
@@ -217,14 +220,12 @@ class Uniform(ValuationDistribution):
         lo = max(P, self.a)
         return ((self.b - P) ** 2 - (lo - P) ** 2) / (2.0 * (self.b - self.a)) if lo < self.b else 0.0
 
-    def to_spec(self) -> dict:
-        return {"family": "uniform", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class PiecewiseIsoElastic(ValuationDistribution):
     """Linear CDF head on [0, v0], survivor kappa * v**(-eps) on [v0, 1], atom at 1."""
 
+    family = "iso_elastic"
     kappa: float
     eps: float
     v0: float
@@ -278,14 +279,12 @@ class PiecewiseIsoElastic(ValuationDistribution):
         head = (self.v0 - P) * (1.0 - self._head_slope * (self.v0 + P) / 2.0) if P < self.v0 else 0.0
         return self.kappa * -math.expm1((1.0 - self.eps) * math.log(m)) / (1.0 - self.eps) + head
 
-    def to_spec(self) -> dict:
-        return {"family": "iso_elastic", "kappa": self.kappa, "eps": self.eps, "v0": self.v0}
-
 
 @dataclass(frozen=True)
 class TruncatedWeibull(ValuationDistribution):
     """Weibull(shape k >= 1, scale s > 0) right-truncated to [0, 1]."""
 
+    family = "trunc_weibull"
     k: float
     s: float
 
@@ -325,22 +324,18 @@ class TruncatedWeibull(ValuationDistribution):
         a = ((P + (1.0 - P) * nodes) / self.s) ** self.k
         return (1.0 - P) * float(weights @ (_NUMPY.exp(-a) * -_NUMPY.expm1(a - self._b))) / self._mass
 
-    def to_spec(self) -> dict:
-        return {"family": "trunc_weibull", "k": self.k, "s": self.s}
+
+_FAMILIES = {cls.family: cls for cls in (Uniform, PiecewiseIsoElastic, TruncatedWeibull)}
 
 
 def from_spec(spec: dict) -> ValuationDistribution:
-    """Build a distribution from its tagged-record form used in scenario files."""
+    """Build a distribution from its tagged-record form used in scenario files: each field the
+    spec holds, as a float; a missing field takes its default, or raises TypeError without one."""
     family = spec.get("family")
-    if family == "uniform":
-        return Uniform(a=float(spec.get("a", 0.0)), b=float(spec.get("b", 1.0)))
-    if family == "iso_elastic":
-        return PiecewiseIsoElastic(
-            kappa=float(spec["kappa"]), eps=float(spec["eps"]), v0=float(spec["v0"])
-        )
-    if family == "trunc_weibull":
-        return TruncatedWeibull(k=float(spec["k"]), s=float(spec["s"]))
-    raise DomainError(f"unknown distribution family: {family!r}")
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise DomainError(f"unknown distribution family: {family!r}")
+    return cls(**{f.name: float(spec[f.name]) for f in fields(cls) if f.name in spec})
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .consumer import AttentionParams, effective_lambda, entropy, trial_terms
+from .consumer import AttentionParams, cost_slope, effective_lambda, entropy, trial_terms
 from .distributions import ValuationDistribution
 from .exceptions import DomainError
 
@@ -143,7 +143,7 @@ def profit(
         inattentive_revenue=ir,
         profit=std + ir,
         utility=_utility(surplus_integral(dist, P), mass, P, lam, terms),
-        ir_slack=params.beta / (params.gamma * params.lambda0) * terms[1] * mass,
+        ir_slack=cost_slope(params) * terms[1] * mass,
         q_star=terms[0],
         lambda_eff=lam,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .consumer import AttentionParams
@@ -45,16 +45,13 @@ class Scenario:
     sweep: SweepAxis | None = None
 
     def to_dict(self) -> dict:
-        window = self.solver.price_window
+        """The scenario as a JSON record: each block is its record's fields, except ``solver`` (its own
+        window block, and no ``max_iter``, which scenarios do not set) and the lists of the last two."""
         record: dict = {
             "name": self.name,
             "distribution": self.distribution.to_spec(),
-            "attention": {
-                "lambda0": self.attention.lambda0,
-                "beta": self.attention.beta,
-                "gamma": self.attention.gamma,
-            },
-            "price_window": {"p_lo": window.p_lo, "p_hi": window.p_hi},
+            "attention": asdict(self.attention),
+            "price_window": asdict(self.solver.price_window),
             "solver": {
                 "t_max": self.solver.t_max,
                 "bracket_grid": self.solver.bracket_grid,
@@ -63,18 +60,11 @@ class Scenario:
                 "participation_mode": self.solver.participation_mode,
             },
         }
-        if self.contract is not None:
-            record["contract"] = {"T": self.contract.T, "P": self.contract.P, "P0": self.contract.P0}
-        if self.signup is not None:
-            record["signup"] = {
-                "alpha": self.signup.alpha,
-                "theta": self.signup.theta,
-                "cap": self.signup.cap,
-            }
+        for key, block in (("contract", self.contract), ("signup", self.signup), ("shock", self.shock)):
+            if block is not None:
+                record[key] = asdict(block)
         if self.mixture is not None:
             record["mixture"] = {"atoms": [[lam, w] for lam, w in self.mixture.atoms]}
-        if self.shock is not None:
-            record["shock"] = {"gamma": self.shock.gamma, "label": self.shock.label}
         if self.sweep is not None:
             record["sweep"] = {"param": self.sweep.param, "grid": list(self.sweep.grid)}
         return record
@@ -87,6 +77,14 @@ def _require(record: dict, key: str) -> object:
     if key not in record:
         raise ScenarioError(f"scenario is missing required field {key!r}")
     return record[key]
+
+
+def _csv_text(value: object, what: str) -> str:
+    """value as text that a CSV field carries raw: no comma, double quote or line break."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        raise ScenarioError(f"{what} {text!r} holds a comma, a double quote or a line break")
+    return text
 
 
 def from_dict(record: dict) -> Scenario:
@@ -125,7 +123,7 @@ def from_dict(record: dict) -> Scenario:
         shock = None
         if "shock" in record:
             sh = record["shock"]
-            shock = PolicyShock(gamma=float(sh["gamma"]), label=str(sh.get("label", "")))
+            shock = PolicyShock(gamma=float(sh["gamma"]), label=_csv_text(sh.get("label", ""), "shock label"))
         sweep = None
         if "sweep" in record:
             sw = record["sweep"]
@@ -137,9 +135,14 @@ def from_dict(record: dict) -> Scenario:
                 raise ScenarioError("sweep grid must be nonempty and finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ScenarioError("sweep grid must be strictly increasing")
+            swept = contract if param in ("T", "P") else attention
+            if swept is None:
+                raise ScenarioError(f"sweep over {param!r} needs a base contract block")
+            for g in grid:  # each swept record once, so an out-of-domain value is a scenario error
+                replace(swept, **{param: g})
             sweep = SweepAxis(param=param, grid=grid)
-        scenario = Scenario(
-            name=str(_require(record, "name")),
+        return Scenario(
+            name=_csv_text(_require(record, "name"), "scenario name"),
             distribution=from_spec(dict(_require(record, "distribution"))),
             attention=attention,
             solver=solver,
@@ -153,9 +156,6 @@ def from_dict(record: dict) -> Scenario:
         raise
     except (KeyError, TypeError, ValueError, SubtrialError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
-    if sweep is not None and sweep.param in ("T", "P") and contract is None:
-        raise ScenarioError(f"sweep over {sweep.param!r} needs a base contract block")
-    return scenario
 
 
 def load(path: str | Path) -> Scenario:

@@ -42,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .consumer import AttentionParams, effective_lambda, logistic_q, trial_terms
+from .consumer import AttentionParams, cost_slope, effective_lambda, logistic_q, trial_length, trial_terms
 from .distributions import (_NUMPY, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid, golden_max,
                             lambda_crit, scan)
 from .exceptions import (ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError,
@@ -158,7 +158,7 @@ def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T:
         return 0.0
     x = effective_lambda(params, T) * P
     q, neg_entropy, _, q_miss = trial_terms(x)
-    return params.beta / (params.gamma * params.lambda0) * mass * (P * x * x * (q * q_miss) - neg_entropy)
+    return cost_slope(params) * mass * (P * x * x * (q * q_miss) - neg_entropy)
 
 
 def _trial_positive(dist: ValuationDistribution, params: AttentionParams, lam: float, P: float) -> bool:
@@ -176,11 +176,6 @@ def _on_locus(dist: ValuationDistribution, x):
     """The price condition on the g = 0 locus at x = lam P, where P = pi(x); x may be an array."""
     price = trial_terms(x)[2]
     return _price_condition(dist, x / price, price)
-
-
-def _trial_length(params: AttentionParams, lam: float) -> float:
-    """Inverse of the decay law: the T at which lam(T) = lam."""
-    return (params.gamma * params.lambda0 / lam - 1.0) / params.beta
 
 
 def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> tuple[float, float]:
@@ -336,7 +331,7 @@ def solve_trial(
     """
     if not _trial_positive(dist, params, effective_lambda(params, 0.0), P):
         return TrialSolution(T=0.0, residual=trial_foc(dist, params, P, 0.0), at_zero=True)
-    T = _trial_length(params, _locus_x(P, config) / P)
+    T = trial_length(params, _locus_x(P, config) / P)
     if T > config.t_max:
         raise TrialBoundError(f"trial condition still positive at t_max={config.t_max} for P={P}")
     return TrialSolution(T=T, residual=trial_foc(dist, params, P, T), at_zero=False)
@@ -384,11 +379,11 @@ def joint_optimum(
     for lam, price, edge in candidates:
         same_root = 0.0 if edge else (w.p_hi - w.p_lo) / config.bracket_grid
         if abs(_best_price(dist, lam, config, table)[0] - price) <= same_root:
-            return _assemble(dist, params, _trial_length(params, lam), price, set(), edge)
+            return _assemble(dist, params, trial_length(params, lam), price, set(), edge)
     P, roots, _ = _best_price(dist, lam_lo, config, table)
     if _trial_positive(dist, params, lam_lo, P):
         return _assemble(dist, params, config.t_max, P, {T_AT_MAX}, not roots)
-    tried = [(_trial_length(params, lam), price) for lam, price, _ in candidates]
+    tried = [(trial_length(params, lam), price) for lam, price, _ in candidates]
     raise ConvergenceError(
         f"no fixed point: g(0) > 0 at the best price at T = 0, the locus candidates (T, P) "
         f"{tried} are not best prices at their T, and g <= 0 at t_max"
@@ -450,7 +445,7 @@ def _binding_ir_optimum(dist, params, config) -> OptimalContract:
     ends = [bracket_end(lo), bracket_end(hi)]
     P = golden_max(lambda p: value(p, lowest_lam(p)), ends[0][0], ends[1][0], config.opt_tol)
     P, lam = max([*ends, best, (P, lowest_lam(P))], key=lambda c: value(*c))
-    T = 0.0 if lam == lam_hi else config.t_max if lam == lam_lo else _trial_length(params, lam)
+    T = 0.0 if lam == lam_hi else config.t_max if lam == lam_lo else trial_length(params, lam)
     flags = {T_AT_ZERO} if lam == lam_hi else {T_AT_MAX} if lam == lam_lo else set()
     return _assemble(dist, params, T, P, flags, P in (w.p_lo, w.p_hi))
 

@@ -1,6 +1,7 @@
 """Monitoring behavior: entropy cost, decay law, logistic optimum, derivatives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from scipy.special import expit, xlogy
 
 from subtrial.consumer import (
     AttentionParams,
+    cost_slope,
     effective_lambda,
     entropy,
     monitoring_objective,
     optimal_q,
     q_derivatives,
+    trial_length,
 )
 from subtrial.exceptions import DomainError
 
@@ -245,3 +248,29 @@ class TestMonitoringMonotonicity:
         params = AttentionParams(2.0, 0.0)
         qs = [optimal_q(0.5, effective_lambda(params, t)).q_star for t in [0.0, 5.0, 50.0]]
         assert qs[0] == qs[1] == qs[2]
+
+
+class TestDecayLaw:
+    """trial_length inverts lam(T), and cost_slope is the slope of 1 / lam(T) in T."""
+
+    PARAMS = [
+        AttentionParams(20.0, 0.5),
+        AttentionParams(3.0, 1e-6, 1.5),
+        AttentionParams(0.7, 1e-3, 2.0),
+        AttentionParams(50.0, 7.0, 1.02),
+    ]
+
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    @pytest.mark.parametrize("T", [0.0, 1e-3, 0.5, 4.0, 30.0, 365.0])
+    def test_trial_length_inverts_the_decay_law(self, params, T):
+        # lam(T) carries a rounding of relative size eps, which moves 1 + beta T by ~eps, so the
+        # inverse is exact to ~eps (1 + beta T) / beta: rel 1e-12 once beta T exceeds ~1e-3
+        rounding = 4.0 * sys.float_info.epsilon * (1.0 + params.beta * T) / params.beta
+        assert trial_length(params, effective_lambda(params, T)) == pytest.approx(T, rel=1e-12, abs=rounding)
+
+    @pytest.mark.parametrize("params", PARAMS, ids=repr)
+    @pytest.mark.parametrize("T", [0.5, 10.0, 200.0])
+    def test_cost_slope_is_the_slope_of_the_unit_cost(self, params, T):
+        h = 1e-3 * T
+        cost = lambda t: 1.0 / effective_lambda(params, t)
+        assert cost_slope(params) == pytest.approx((cost(T + h) - cost(T - h)) / (2.0 * h), rel=1e-6)

@@ -329,3 +329,27 @@ class TestVerifyMassRoute:
     @pytest.mark.parametrize("dist", DRAWS, ids=repr)
     def test_within_1e8_of_one(self, dist):
         assert abs(_total_mass(dist) - 1.0) <= 1e-8
+
+
+class TestSpecs:
+    """A family's spec is its tag plus its fields, and from_spec reads it back."""
+
+    @pytest.mark.parametrize(
+        "dist,spec",
+        [
+            (Uniform(0.1, 0.9), {"family": "uniform", "a": 0.1, "b": 0.9}),
+            (ISO, {"family": "iso_elastic", "kappa": 0.3, "eps": 0.4, "v0": 0.2}),
+            (WEIBULL, {"family": "trunc_weibull", "k": 2.0, "s": 0.5}),
+        ],
+        ids=["uniform", "iso_elastic", "trunc_weibull"],
+    )
+    def test_to_spec_is_the_tagged_record(self, dist, spec):
+        assert dist.to_spec() == spec
+        assert list(dist.to_spec()) == list(spec)  # the tag first, then the fields in order
+
+    def test_uniform_spec_defaults_to_the_unit_interval(self):
+        assert from_spec({"family": "uniform"}) == Uniform()
+
+    def test_missing_required_field_raises(self):
+        with pytest.raises(TypeError, match="kappa"):
+            from_spec({"family": "iso_elastic", "eps": 0.4, "v0": 0.2})

@@ -15,6 +15,7 @@ and list every moved file, with its cause, in CHANGES.md.
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -84,6 +85,31 @@ def test_binding_ir_solve_matches_golden(tmp_path, scenario):
     else:
         assert (code, err) == (EXIT_OK, "")
         assert out.read_bytes() == (BINDING / f"solve.{scenario}.csv").read_bytes()
+
+
+def readme_schemas() -> dict[str, list[str]]:
+    """The column list of each command under README "CSV schemas"."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### CSV schemas", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^\* `(\w+)`: `([^`]+)`", section, flags=re.M)
+    return {command: " ".join(columns.split()).split(", ") for command, columns in items}
+
+
+def test_readme_lists_a_schema_per_command():
+    assert sorted(readme_schemas()) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command,scenario", cli_pairs())
+def test_csv_header_is_the_readme_schema(command, scenario):
+    # the goldens are the CLI's bytes (test_csv_matches_golden), so this pins the
+    # header the code writes to the columns the README states
+    header = (GOLDEN / f"{command}.{scenario}.csv").read_text().splitlines()[1]
+    assert header.split(",") == readme_schemas()[command]
+
+
+@pytest.mark.parametrize("path", sorted(BINDING.glob("*.csv")), ids=lambda p: p.stem)
+def test_binding_ir_header_is_the_readme_solve_schema(path):
+    assert path.read_text().splitlines()[1].split(",") == readme_schemas()["solve"]
 
 
 if __name__ == "__main__":

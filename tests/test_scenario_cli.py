@@ -313,3 +313,57 @@ class TestCliVerify:
         assert rows["hazard_times_survivor"]["status"] == "pass"
         assert rows["cdf_pdf_consistency"]["status"] == "pass"  # the survivor differences keep precision
         assert rows["lambda_crit_window_monotone"]["detail"] == "skipped: hazard unbounded on the window"
+
+
+class TestScenarioDomain:
+    """What a run would fail on, or write wrongly, is a scenario error with exit 1."""
+
+    @staticmethod
+    def run(tmp_path, command, record):
+        path, out = tmp_path / "bad.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(record))
+        return main([command, "--scenario", str(path), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("param,grid", [("beta", [-1.0, 0.5]), ("P", [0.5, 1.5])], ids=["beta", "P"])
+    def test_out_of_domain_sweep_value_exits_1(self, tmp_path, capsys, param, grid):
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["sweep"] = {"param": param, "grid": grid}
+        code, out = self.run(tmp_path, "sweep", record)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+    def test_valid_sweep_value_whose_solve_fails_exits_2(self, tmp_path, capsys):
+        # the cycling market of test_solver_failure_exit_code, swept over lambda0 without a contract
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        del record["contract"]
+        record["distribution"] = {"family": "iso_elastic", "kappa": 0.05, "eps": 0.4, "v0": 0.1}
+        record["attention"] = {"lambda0": 12.0, "beta": 0.5, "gamma": 1.02}
+        record["price_window"] = {"p_lo": 0.15, "p_hi": 0.95}
+        record["sweep"] = {"param": "lambda0", "grid": [12.0]}
+        code, _ = self.run(tmp_path, "sweep", record)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("solver error:")
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"], ids=["comma", "quote", "cr", "lf"])
+    def test_name_a_csv_field_cannot_carry_exits_1(self, tmp_path, capsys, name):
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["name"] = name
+        code, out = self.run(tmp_path, "solve", record)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+    def test_shock_label_a_csv_field_cannot_carry_exits_1(self, tmp_path, capsys):
+        record = json.loads((SCENARIOS / "policy_iso_elastic.json").read_text())
+        record["shock"]["label"] = "x,y"
+        code, out = self.run(tmp_path, "policy", record)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+    def test_iso_elastic_spec_without_kappa_is_a_scenario_error(self):
+        record = json.loads((SCENARIOS / "policy_iso_elastic.json").read_text())
+        del record["distribution"]["kappa"]
+        with pytest.raises(ScenarioError):
+            scenario_mod.from_dict(record)
