@@ -9,97 +9,42 @@ and runs policy, heterogeneity and paid-trial experiments, each cross-checked
 against brute-force oracles in the test suite.
 """
 
-from .consumer import AttentionParams, MonitoringSolution, effective_lambda, entropy, optimal_q, q_derivatives
-from .distributions import (
-    PiecewiseIsoElastic,
-    PriceWindow,
-    TruncatedWeibull,
-    Uniform,
-    ValuationDistribution,
-    check_ifr,
-    lambda_crit,
-)
-from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair, psi_curvature
-from .market import Contract, MarketOutcome, consumer_utility, inattentive_revenue, ir_slack, profit
-from .paid import (
-    PaidTrialOptimum,
-    SignupModel,
-    cross_partial_check,
-    intro_price_foc,
-    joint_paid_optimum,
-    optimal_intro_price,
-    p_aug,
-    profit_paid,
-    signup_rate,
-)
-from .policy import (
-    BetaCurve,
-    ComparativeStaticsReport,
-    PolicyShock,
-    apply_shock,
-    beta_profit_curve,
-    click_to_cancel_statics,
-    mandatory_reminder_limit,
-)
-from .solver import (
-    OptimalContract,
-    SolverConfig,
-    joint_optimum,
-    price_foc,
-    price_response_curve,
-    solve_price,
-    solve_trial,
-    trial_foc,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionMixture",
-    "AttentionParams",
-    "BetaCurve",
-    "ComparativeStaticsReport",
-    "Contract",
-    "MarketOutcome",
-    "MonitoringSolution",
-    "OptimalContract",
-    "PaidTrialOptimum",
-    "PiecewiseIsoElastic",
-    "PolicyShock",
-    "PriceWindow",
-    "SignupModel",
-    "SolverConfig",
-    "TruncatedWeibull",
-    "Uniform",
-    "ValuationDistribution",
-    "aggregate_loss",
-    "apply_shock",
-    "beta_profit_curve",
-    "check_ifr",
-    "click_to_cancel_statics",
-    "consumer_utility",
-    "cross_partial_check",
-    "effective_lambda",
-    "entropy",
-    "inattentive_revenue",
-    "intro_price_foc",
-    "ir_slack",
-    "joint_optimum",
-    "joint_paid_optimum",
-    "lambda_crit",
-    "mandatory_reminder_limit",
-    "mps_pair",
-    "optimal_intro_price",
-    "optimal_q",
-    "p_aug",
-    "price_foc",
-    "price_response_curve",
-    "profit",
-    "profit_paid",
-    "psi_curvature",
-    "q_derivatives",
-    "signup_rate",
-    "solve_price",
-    "solve_trial",
-    "trial_foc",
-]
+# each public name once, under its defining module, which loads on the name's first use
+_EXPORTS = {
+    "consumer": ("AttentionParams", "MonitoringSolution", "effective_lambda", "entropy", "optimal_q",
+                 "q_derivatives"),
+    "distributions": ("PiecewiseIsoElastic", "PriceWindow", "TruncatedWeibull", "Uniform", "ValuationDistribution",
+                      "check_ifr", "lambda_crit"),
+    "heterogeneity": ("AttentionMixture", "aggregate_loss", "mps_pair", "psi_curvature"),
+    "market": ("Contract", "MarketOutcome", "consumer_utility", "inattentive_revenue", "ir_slack", "profit"),
+    "paid": ("PaidTrialOptimum", "SignupModel", "cross_partial_check", "intro_price_foc", "joint_paid_optimum",
+             "optimal_intro_price", "p_aug", "profit_paid", "signup_rate"),
+    "policy": ("BetaCurve", "ComparativeStaticsReport", "PolicyShock", "apply_shock", "beta_profit_curve",
+               "click_to_cancel_statics", "mandatory_reminder_limit"),
+    "solver": ("OptimalContract", "SolverConfig", "joint_optimum", "price_foc", "price_response_curve",
+               "solve_price", "solve_trial", "trial_foc"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "exceptions")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name or submodule, imported on first use and kept in the package namespace."""
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,8 +13,8 @@ Every float is printed with 12 significant digits and rows are buffered and
 written in grid order, so identical inputs produce byte-identical files.
 A command scans plain float grids, so it loads no numpy unless a truncated
 Weibull's surplus needs its dot product.
-Exit codes: 0 success, 1 scenario validation failure, 2 solver failure,
-3 invariant violation from ``verify``.
+Exit codes: 0 success, 1 scenario validation failure or an unwritable ``--out``,
+2 solver failure, 3 invariant violation from ``verify``.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _cmd_hetero(sc: Scenario, out: str, round_t: bool) -> None:
     _write_csv(out, "aggregate inattentive loss for the scenario mixture", [row])
 
 
-def _cmd_verify(sc: Scenario, out: str, round_t: bool) -> int:
+def _cmd_verify(sc: Scenario, out: str, round_t: bool) -> int | None:
     checks = run_invariant_checks(sc)
     rows = [
         {"scenario": sc.name, "module": c.module, "check": c.name, "status": "pass" if c.ok else "FAIL",
@@ -167,15 +167,16 @@ def _cmd_verify(sc: Scenario, out: str, round_t: bool) -> int:
     if failures:
         print(f"{len(failures)} invariant violation(s)", file=sys.stderr)
         return EXIT_INVARIANT
-    return EXIT_OK
 
 
+# each command returns its exit code, or None for success
 COMMANDS = {
     "solve": _cmd_solve,
     "sweep": _cmd_sweep,
     "policy": _cmd_policy,
     "paid": _cmd_paid,
     "hetero": _cmd_hetero,
+    "verify": _cmd_verify,
 }
 
 
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subscription-contract optimization with inattentive consumers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*COMMANDS, "verify"]:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -220,16 +221,16 @@ def _run(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.command == "verify":
-            return _cmd_verify(sc, args.out, args.round_t)
-        COMMANDS[args.command](sc, args.out, args.round_t)
+        return COMMANDS[args.command](sc, args.out, args.round_t) or EXIT_OK
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SubtrialError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return EXIT_OK
+    except OSError as exc:
+        print(f"output error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -328,14 +328,20 @@ class TruncatedWeibull(ValuationDistribution):
 _FAMILIES = {cls.family: cls for cls in (Uniform, PiecewiseIsoElastic, TruncatedWeibull)}
 
 
+def from_fields(cls, record: dict):
+    """A float-field record class built from a scenario block: each field the block holds, as a
+    float; a missing field takes its default, or raises TypeError without one."""
+    return cls(**{f.name: float(record[f.name]) for f in fields(cls) if f.name in record})
+
+
 def from_spec(spec: dict) -> ValuationDistribution:
-    """Build a distribution from its tagged-record form used in scenario files: each field the
-    spec holds, as a float; a missing field takes its default, or raises TypeError without one."""
+    """Build a distribution from its tagged-record form used in scenario files: the family's
+    tag, then its fields as ``from_fields`` reads them."""
     family = spec.get("family")
     cls = _FAMILIES.get(family)
     if cls is None:
         raise DomainError(f"unknown distribution family: {family!r}")
-    return cls(**{f.name: float(spec[f.name]) for f in fields(cls) if f.name in spec})
+    return from_fields(cls, spec)
 
 
 @dataclass(frozen=True)

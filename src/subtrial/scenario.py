@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .consumer import AttentionParams
-from .distributions import PriceWindow, ValuationDistribution, from_spec
+from .distributions import PriceWindow, ValuationDistribution, from_fields, from_spec
 from .exceptions import ScenarioError, SubtrialError
 from .heterogeneity import AttentionMixture
 from .market import Contract
@@ -89,14 +89,8 @@ def _csv_text(value: object, what: str) -> str:
 
 def from_dict(record: dict) -> Scenario:
     try:
-        window_rec = _require(record, "price_window")
-        window = PriceWindow(p_lo=float(window_rec["p_lo"]), p_hi=float(window_rec["p_hi"]))
-        att_rec = _require(record, "attention")
-        attention = AttentionParams(
-            lambda0=float(att_rec["lambda0"]),
-            beta=float(att_rec.get("beta", 0.0)),
-            gamma=float(att_rec.get("gamma", 1.0)),
-        )
+        window = from_fields(PriceWindow, _require(record, "price_window"))
+        attention = from_fields(AttentionParams, _require(record, "attention"))
         solver_rec = record.get("solver", {})
         solver = SolverConfig(
             price_window=window,
@@ -106,16 +100,8 @@ def from_dict(record: dict) -> Scenario:
             opt_tol=float(solver_rec.get("opt_tol", 1e-9)),
             participation_mode=str(solver_rec.get("participation_mode", "report_only")),
         )
-        contract = None
-        if "contract" in record:
-            c = record["contract"]
-            contract = Contract(T=float(c["T"]), P=float(c["P"]), P0=float(c.get("P0", 0.0)))
-        signup = None
-        if "signup" in record:
-            s = record["signup"]
-            signup = SignupModel(
-                alpha=float(s["alpha"]), theta=float(s["theta"]), cap=float(s.get("cap", 1.0))
-            )
+        contract = from_fields(Contract, record["contract"]) if "contract" in record else None
+        signup = from_fields(SignupModel, record["signup"]) if "signup" in record else None
         mixture = None
         if "mixture" in record:
             atoms = tuple((float(a[0]), float(a[1])) for a in record["mixture"]["atoms"])

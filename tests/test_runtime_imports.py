@@ -65,6 +65,42 @@ def test_package_and_cli_import_no_scipy_and_no_numpy():
     assert numpy_modules == "[]"
 
 
+PUBLIC_NAMES = [
+    "AttentionMixture", "AttentionParams", "BetaCurve", "ComparativeStaticsReport", "Contract", "MarketOutcome",
+    "MonitoringSolution", "OptimalContract", "PaidTrialOptimum", "PiecewiseIsoElastic", "PolicyShock",
+    "PriceWindow", "SignupModel", "SolverConfig", "TruncatedWeibull", "Uniform", "ValuationDistribution",
+    "aggregate_loss", "apply_shock", "beta_profit_curve", "check_ifr", "click_to_cancel_statics",
+    "consumer_utility", "cross_partial_check", "effective_lambda", "entropy", "inattentive_revenue",
+    "intro_price_foc", "ir_slack", "joint_optimum", "joint_paid_optimum", "lambda_crit",
+    "mandatory_reminder_limit", "mps_pair", "optimal_intro_price", "optimal_q", "p_aug", "price_foc",
+    "price_response_curve", "profit", "profit_paid", "psi_curvature", "q_derivatives", "signup_rate",
+    "solve_price", "solve_trial", "trial_foc",
+]
+SUBMODULES = ["consumer", "distributions", "exceptions", "heterogeneity", "market", "paid", "policy", "solver"]
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, subtrial; print(sorted(m for m in sys.modules if m.startswith('subtrial.')))"
+    assert run_python(code) == ["[]"]
+
+
+def test_star_import_binds_every_public_name():
+    code = "from subtrial import *; print(sorted(n for n in dir() if not n.startswith('_')))"
+    assert run_python(code) == [repr(PUBLIC_NAMES)]
+
+
+def test_submodules_resolve_as_attributes_and_unknown_names_raise():
+    code = (
+        "import subtrial, types\n"
+        f"print([isinstance(getattr(subtrial, m), types.ModuleType) for m in {SUBMODULES!r}])\n"
+        "print(subtrial.solver.joint_optimum is subtrial.joint_optimum)\n"
+        "try:\n    subtrial.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
+    )
+    assert run_python(code) == [
+        repr([True] * len(SUBMODULES)), "True", "module 'subtrial' has no attribute 'no_such_name'",
+    ]
+
+
 # the scalar types and numpy's lazily bound kernels are shared low-level aliases, not helpers,
 # and the CLI alone chooses the scan route
 SHARED_PRIVATE = {("distributions", "_SCALAR"), ("distributions", "_NUMPY"), ("distributions", "_use_plain_grids")}

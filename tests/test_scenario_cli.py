@@ -1,12 +1,17 @@
 """Scenario files and the command-line runner: round-trips, CSV, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from subtrial import scenario as scenario_mod
+from subtrial import cli, scenario as scenario_mod, verify
 from subtrial.cli import main
+from subtrial.consumer import AttentionParams
+from subtrial.distributions import IfrReport
+from subtrial.market import Contract
+from subtrial.paid import SignupModel
 from subtrial.exceptions import ScenarioError
 from subtrial.solver import joint_optimum
 
@@ -53,8 +58,44 @@ class TestScenarioRoundTrip:
         with pytest.raises(ScenarioError):
             scenario_mod.from_dict(record)
 
+    def test_missing_optional_fields_take_their_record_defaults(self):
+        record = json.loads((SCENARIOS / "paid_trial.json").read_text())
+        record["attention"] = {"lambda0": 20.0}
+        del record["contract"]["P0"], record["signup"]["cap"]
+        sc = scenario_mod.from_dict(record)
+        assert sc.attention == AttentionParams(20.0)
+        assert sc.contract == Contract(T=4.0, P=0.5)
+        assert sc.signup == SignupModel(alpha=0.1, theta=0.5)
+
+    @pytest.mark.parametrize(
+        "block,key", [("attention", "lambda0"), ("price_window", "p_hi"), ("contract", "T"), ("signup", "alpha")]
+    )
+    def test_missing_required_field_exits_1(self, tmp_path, capsys, block, key):
+        record = json.loads((SCENARIOS / "paid_trial.json").read_text())
+        del record[block][key]
+        path, out = tmp_path / "bad.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(record))
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
+
+
+def test_parser_commands_are_the_command_table_in_readme_order():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    documented = re.findall(r"^\| `(\w+)` +\|", readme, re.MULTILINE)
+    usage = cli.build_parser().format_usage()
+    parsed = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+    assert parsed == list(cli.COMMANDS) == documented == ["solve", "sweep", "policy", "paid", "hetero", "verify"]
+
 
 class TestCliSolve:
+    @pytest.mark.parametrize("where", ["missing_dir/x.csv", "a_directory"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, where):
+        (tmp_path / "a_directory").mkdir()
+        out = tmp_path / where
+        assert main(["solve", "--scenario", str(SCENARIOS / "baseline_uniform.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"output error: cannot write {out}: ")
+
     def test_row_matches_library_solve(self, tmp_path):
         out = tmp_path / "solve.csv"
         code = main(["solve", "--scenario", str(SCENARIOS / "baseline_uniform.json"), "--out", str(out)])
@@ -313,6 +354,26 @@ class TestCliVerify:
         assert rows["hazard_times_survivor"]["status"] == "pass"
         assert rows["cdf_pdf_consistency"]["status"] == "pass"  # the survivor differences keep precision
         assert rows["lambda_crit_window_monotone"]["detail"] == "skipped: hazard unbounded on the window"
+
+    def test_ifr_row_passes_where_the_inattentive_margin_adds_roots(self, tmp_path, capsys):
+        """The whole price condition crosses zero 3 times on this valid input; the standard margin once."""
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["distribution"] = {"family": "trunc_weibull", "k": 4.0, "s": 0.2}
+        path, out = tmp_path / "weibull_floor.json", tmp_path / "verify.csv"
+        path.write_text(json.dumps(record))
+        assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+        row = next(r for r in read_rows(out) if r["check"] == "unique_root_under_ifr")
+        assert (row["status"], row["detail"]) == ("pass", "1 sign changes")
+
+    def test_ifr_row_fails_on_two_standard_margin_crossings(self, monkeypatch):
+        """Reported as IFR, the iso-elastic splice gives a head root at 0.4896 and a jump at v0."""
+        record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
+        record["distribution"] = {"family": "iso_elastic", "kappa": 0.3, "eps": 0.5, "v0": 0.6}
+        record["price_window"] = {"p_lo": 0.05, "p_hi": 0.95}
+        monkeypatch.setattr(verify, "check_ifr", lambda dist, window: IfrReport(True, None, 64))
+        checks = verify.run_invariant_checks(scenario_mod.from_dict(record))
+        (row,) = [c for c in checks if c.name == "unique_root_under_ifr"]
+        assert (row.ok, row.detail) == (False, "2 sign changes")
 
 
 class TestScenarioDomain:
