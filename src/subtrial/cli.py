@@ -30,8 +30,8 @@ from .exceptions import ScenarioError, SubtrialError
 from .heterogeneity import aggregate_loss, mps_pair
 from .market import profit
 from .paid import joint_paid_optimum
-from .policy import PolicyShock, click_to_cancel_statics
-from .scenario import Scenario
+from .policy import DEFAULT_SHOCK, click_to_cancel_statics
+from .scenario import SWEEP_PARAMS, Scenario
 from .solver import PARTICIPATION_MODES, joint_optimum
 from .verify import run_invariant_checks
 
@@ -80,18 +80,11 @@ def _cmd_solve(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _sweep_point(sc: Scenario, value: float):
-    contract = sc.contract
-    params = sc.attention
-    if sc.sweep.param == "T":
-        contract = replace(contract, T=value)
-    elif sc.sweep.param == "P":
-        contract = replace(contract, P=value)
-    else:
-        params = replace(params, **{sc.sweep.param: value})
-    if contract is None:
-        opt = joint_optimum(sc.distribution, params, sc.solver)
-        contract = opt.contract
-    return contract, profit(sc.distribution, params, contract)
+    """The swept scenario's base contract, or its joint optimum without one, and its outcome."""
+    block = SWEEP_PARAMS[sc.sweep.param]
+    sc = replace(sc, **{block: replace(getattr(sc, block), **{sc.sweep.param: value})})
+    contract = sc.contract or joint_optimum(sc.distribution, sc.attention, sc.solver).contract
+    return contract, profit(sc.distribution, sc.attention, contract)
 
 
 def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
@@ -107,7 +100,7 @@ def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _cmd_policy(sc: Scenario, out: str, round_t: bool) -> None:
-    shock = sc.shock or PolicyShock(gamma=2.0, label="default_boost")
+    shock = sc.shock or DEFAULT_SHOCK
     report = click_to_cancel_statics(sc.distribution, sc.attention, shock, sc.solver)
     base, shocked = report.baseline, report.shocked
     row = {

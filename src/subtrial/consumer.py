@@ -106,18 +106,6 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
     )
 
 
-def logistic_q(P, lam):
-    """q* = 1 / (1 + exp(-lam P)) for P in [0, 1] and lam > 0, or arrays of them; cannot overflow."""
-    P_lo, P_hi = (P, P) if isinstance(P, _SCALAR) else (P.min(initial=0.5), P.max(initial=0.5))
-    if P_lo < 0.0 or P_hi > 1.0:
-        raise DomainError(f"price must lie in [0, 1], got {P_lo if P_lo < 0.0 else P_hi}")
-    lam_lo = lam if isinstance(lam, _SCALAR) else lam.min(initial=0.5)
-    if lam_lo <= 0.0:
-        raise DomainError(f"sensitivity must be positive, got {lam_lo}")
-    x = lam * P
-    return 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
-
-
 def monitoring_objective(q: float, P: float, lam: float) -> float:
     """(1 - q) * P + H(q) / lam, the quantity optimal_q minimizes over q."""
     return (1.0 - q) * P + entropy(q) / lam

@@ -328,10 +328,29 @@ class TruncatedWeibull(ValuationDistribution):
 _FAMILIES = {cls.family: cls for cls in (Uniform, PiecewiseIsoElastic, TruncatedWeibull)}
 
 
+def number(value: object) -> float:
+    """A JSON number as a float: an int or a float, but not a bool, a string or an int beyond the float range."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("an integer beyond the float range") from None
+
+
+def _field(kind: str, value: object) -> object:
+    """A scenario value for a field declared ``kind``; a field neither float nor str is its record's to check."""
+    if kind == "str" and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return number(value) if kind == "float" else value
+
+
 def from_fields(cls, record: dict):
-    """A float-field record class built from a scenario block: each field the block holds, as a
-    float; a missing field takes its default, or raises TypeError without one."""
-    return cls(**{f.name: float(record[f.name]) for f in fields(cls) if f.name in record})
+    """A record built from a scenario block, each field the block holds read by its declared type
+    (``_field``); a missing field takes its default, or raises TypeError without one."""
+    if not isinstance(record, dict):
+        raise TypeError(f"the {cls.__name__} block must be a JSON object, got {record!r}")
+    return cls(**{f.name: _field(f.type, record[f.name]) for f in fields(cls) if f.name in record})
 
 
 def from_spec(spec: dict) -> ValuationDistribution:

@@ -40,6 +40,9 @@ class PolicyShock:
             raise DomainError(f"shock multiplier must be finite and at least 1, got {self.gamma}")
 
 
+DEFAULT_SHOCK = PolicyShock(gamma=2.0, label="default_boost")  # the shock of a scenario without one
+
+
 @dataclass(frozen=True)
 class ComparativeStaticsReport:
     baseline: OptimalContract

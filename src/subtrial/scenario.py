@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .consumer import AttentionParams
-from .distributions import PriceWindow, ValuationDistribution, from_fields, from_spec
+from .distributions import PriceWindow, ValuationDistribution, from_fields, from_spec, number
 from .exceptions import ScenarioError, SubtrialError
 from .heterogeneity import AttentionMixture
 from .market import Contract
@@ -23,7 +23,10 @@ from .paid import SignupModel
 from .policy import PolicyShock
 from .solver import SolverConfig
 
-SWEEP_PARAMS = ("T", "P", "lambda0", "beta", "gamma")
+# each sweep parameter, and the block whose record it is a field of
+SWEEP_PARAMS = {"T": "contract", "P": "contract", "lambda0": "attention", "beta": "attention", "gamma": "attention"}
+_RECORDS = {"attention": AttentionParams, "solver": SolverConfig, "contract": Contract, "signup": SignupModel,
+            "shock": PolicyShock}
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class SweepAxis:
 class Scenario:
     name: str
     distribution: ValuationDistribution
-    attention: AttentionParams
+    attention: AttentionParams  # this field and every one after it is a record block
     solver: SolverConfig
     contract: Contract | None = None
     signup: SignupModel | None = None
@@ -45,28 +48,14 @@ class Scenario:
     sweep: SweepAxis | None = None
 
     def to_dict(self) -> dict:
-        """The scenario as a JSON record: each block is its record's fields, except ``solver`` (its own
-        window block, and no ``max_iter``, which scenarios do not set) and the lists of the last two."""
-        record: dict = {
-            "name": self.name,
-            "distribution": self.distribution.to_spec(),
-            "attention": asdict(self.attention),
-            "price_window": asdict(self.solver.price_window),
-            "solver": {
-                "t_max": self.solver.t_max,
-                "bracket_grid": self.solver.bracket_grid,
-                "root_tol": self.solver.root_tol,
-                "opt_tol": self.solver.opt_tol,
-                "participation_mode": self.solver.participation_mode,
-            },
-        }
-        for key, block in (("contract", self.contract), ("signup", self.signup), ("shock", self.shock)):
-            if block is not None:
-                record[key] = asdict(block)
-        if self.mixture is not None:
-            record["mixture"] = {"atoms": [[lam, w] for lam, w in self.mixture.atoms]}
-        if self.sweep is not None:
-            record["sweep"] = {"param": self.sweep.param, "grid": list(self.sweep.grid)}
+        """The scenario as a JSON record: each block is its record's fields, except that ``solver``
+        leaves out its window, a block of its own, and ``max_iter``, which scenarios do not set."""
+        record = {"name": self.name, "distribution": self.distribution.to_spec(),
+                  "price_window": asdict(self.solver.price_window)}
+        for f in fields(self)[2:]:
+            if getattr(self, f.name) is not None:
+                record[f.name] = asdict(getattr(self, f.name))
+        del record["solver"]["price_window"], record["solver"]["max_iter"]
         return record
 
     def dumps(self) -> str:
@@ -87,57 +76,37 @@ def _csv_text(value: object, what: str) -> str:
     return text
 
 
+def _check_sweep(sweep: SweepAxis, blocks: dict) -> SweepAxis:
+    if sweep.param not in SWEEP_PARAMS:
+        raise ScenarioError(f"unknown sweep parameter {sweep.param!r}; expected one of {tuple(SWEEP_PARAMS)}")
+    if not sweep.grid or not all(math.isfinite(g) for g in sweep.grid):
+        raise ScenarioError("sweep grid must be nonempty and finite")
+    if any(b <= a for a, b in zip(sweep.grid, sweep.grid[1:])):
+        raise ScenarioError("sweep grid must be strictly increasing")
+    swept = blocks.get(SWEEP_PARAMS[sweep.param])
+    if swept is None:
+        raise ScenarioError(f"sweep over {sweep.param!r} needs a base contract block")
+    for g in sweep.grid:  # each swept record once, so an out-of-domain value is a scenario error
+        replace(swept, **{sweep.param: g})
+    return sweep
+
+
 def from_dict(record: dict) -> Scenario:
     try:
         window = from_fields(PriceWindow, _require(record, "price_window"))
-        attention = from_fields(AttentionParams, _require(record, "attention"))
-        solver_rec = record.get("solver", {})
-        solver = SolverConfig(
-            price_window=window,
-            t_max=float(solver_rec.get("t_max", 365.0)),
-            bracket_grid=solver_rec.get("bracket_grid", 256),
-            root_tol=float(solver_rec.get("root_tol", 1e-10)),
-            opt_tol=float(solver_rec.get("opt_tol", 1e-9)),
-            participation_mode=str(solver_rec.get("participation_mode", "report_only")),
-        )
-        contract = from_fields(Contract, record["contract"]) if "contract" in record else None
-        signup = from_fields(SignupModel, record["signup"]) if "signup" in record else None
-        mixture = None
+        given = {**record, "attention": _require(record, "attention"),
+                 "solver": {**record.get("solver", {}), "price_window": window, "max_iter": SolverConfig.max_iter}}
+        blocks = {key: from_fields(cls, given[key]) for key, cls in _RECORDS.items() if key in given}
+        if "shock" in blocks:
+            _csv_text(blocks["shock"].label, "shock label")
         if "mixture" in record:
-            atoms = tuple((float(a[0]), float(a[1])) for a in record["mixture"]["atoms"])
-            mixture = AttentionMixture(atoms=atoms)
-        shock = None
-        if "shock" in record:
-            sh = record["shock"]
-            shock = PolicyShock(gamma=float(sh["gamma"]), label=_csv_text(sh.get("label", ""), "shock label"))
-        sweep = None
+            atoms = tuple((number(lam), number(w)) for lam, w in record["mixture"]["atoms"])
+            blocks["mixture"] = from_fields(AttentionMixture, {**record["mixture"], "atoms": atoms})
         if "sweep" in record:
-            sw = record["sweep"]
-            param = str(sw["param"])
-            if param not in SWEEP_PARAMS:
-                raise ScenarioError(f"unknown sweep parameter {param!r}; expected one of {SWEEP_PARAMS}")
-            grid = tuple(float(g) for g in sw["grid"])
-            if not grid or not all(math.isfinite(g) for g in grid):
-                raise ScenarioError("sweep grid must be nonempty and finite")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ScenarioError("sweep grid must be strictly increasing")
-            swept = contract if param in ("T", "P") else attention
-            if swept is None:
-                raise ScenarioError(f"sweep over {param!r} needs a base contract block")
-            for g in grid:  # each swept record once, so an out-of-domain value is a scenario error
-                replace(swept, **{param: g})
-            sweep = SweepAxis(param=param, grid=grid)
-        return Scenario(
-            name=_csv_text(_require(record, "name"), "scenario name"),
-            distribution=from_spec(dict(_require(record, "distribution"))),
-            attention=attention,
-            solver=solver,
-            contract=contract,
-            signup=signup,
-            mixture=mixture,
-            shock=shock,
-            sweep=sweep,
-        )
+            grid = tuple(map(number, record["sweep"]["grid"]))
+            blocks["sweep"] = _check_sweep(from_fields(SweepAxis, {**record["sweep"], "grid": grid}), blocks)
+        return Scenario(name=_csv_text(_require(record, "name"), "scenario name"),
+                        distribution=from_spec(dict(_require(record, "distribution"))), **blocks)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, SubtrialError) as exc:
@@ -151,6 +120,6 @@ def load(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer with too many digits to convert
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return from_dict(record)

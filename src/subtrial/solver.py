@@ -42,9 +42,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .consumer import AttentionParams, cost_slope, effective_lambda, logistic_q, trial_length, trial_terms
-from .distributions import (_NUMPY, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid, golden_max,
-                            lambda_crit, scan)
+from .consumer import AttentionParams, cost_slope, effective_lambda, trial_length, trial_terms
+from .distributions import (_NUMPY, _SCALAR, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid,
+                            golden_max, lambda_crit, scan)
 from .exceptions import (ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError,
                          UnboundedError)
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
@@ -116,8 +116,7 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
 
 def _price_condition(dist: ValuationDistribution, lam, P):
     """The price condition at (lam, P); at a scan's grid, one of them or both are arrays."""
-    q = logistic_q(P, lam)
-    return _price_terms(q, lam, *_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)))
+    return _price_terms(P, lam, *_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)))
 
 
 def _lambda_free_terms(P, F, f):
@@ -127,8 +126,10 @@ def _lambda_free_terms(P, F, f):
     return 1.0 - F - Pf, F + Pf, P * F
 
 
-def _price_terms(q, lam, standard, dPF, PF):
-    """The price condition from q* = q and the lambda-free terms at P."""
+def _price_terms(P, lam, standard, dPF, PF):
+    """The price condition at (lam, P) from the lambda-free terms at P and q* = 1 / (1 + e^(-lam P))."""
+    x = lam * P
+    q = 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
     miss = 1.0 - q
     return standard + (miss * dPF - PF * lam * q * miss)
 
@@ -144,7 +145,7 @@ def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple:
 
 def _window_scan(table: tuple, lam: float):
     """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
-    return scan(lambda P, standard, dPF, PF: _price_terms(logistic_q(P, lam), lam, standard, dPF, PF), *table)
+    return scan(lambda P, standard, dPF, PF: _price_terms(P, lam, standard, dPF, PF), *table)
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:

@@ -17,7 +17,7 @@ from .exceptions import SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
 from .paid import intro_price_foc, optimal_intro_price, profit_paid, signup_rate
-from .policy import PolicyShock, apply_shock
+from .policy import DEFAULT_SHOCK, apply_shock
 from .scenario import Scenario
 from .solver import price_foc
 
@@ -164,7 +164,7 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
         add("solver", "unique_root_under_ifr", True, "skipped: hazard not increasing")
 
     # --- policy ---
-    shock = scenario.shock or PolicyShock(gamma=2.0)
+    shock = scenario.shock or DEFAULT_SHOCK
     shocked = apply_shock(params, shock)
     scale_err = max(
         abs(effective_lambda(shocked, t) - shock.gamma * effective_lambda(params, t))

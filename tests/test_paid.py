@@ -267,3 +267,9 @@ class TestJointPaidOptimum:
     def test_validation(self):
         with pytest.raises(DomainError):
             SignupModel(alpha=0.0, theta=0.5)
+
+    def test_free_trial_optimum_at_zero_length_keeps_the_fee_as_the_t_zero_corner(self):
+        # at lam0 = 2 the free-trial solve sits at T = 0, and inelastic sign-ups still pay a fee
+        opt = joint_paid_optimum(U01, AttentionParams(2.0, beta=0.5), MODEL, CFG)
+        assert opt.corner == "t_zero"
+        assert opt.contract.T == 0.0 and opt.contract.P0 > 0.0

@@ -1,5 +1,6 @@
 """Scenario files and the command-line runner: round-trips, CSV, exit codes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -33,6 +34,12 @@ class TestScenarioRoundTrip:
         again = scenario_mod.from_dict(json.loads(text))
         assert again == sc
         assert again.dumps() == text
+
+    def test_readme_example_is_what_to_dict_writes(self):
+        # the JSON under README "Scenario files" is a record that parses and emits back unchanged
+        section = (SCENARIOS.parent / "README.md").read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        example = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.S).group(1))
+        assert scenario_mod.from_dict(example).to_dict() == example
 
     def test_missing_field_rejected(self):
         record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
@@ -152,15 +159,25 @@ class TestCliSolve:
             ("solver", "root_tol", float("nan")),
             ("contract", "T", float("nan")),
             ("contract", "P0", float("inf")),
+            ("solver", "participation_mode", "interiour"),
+            ("distribution", "a", "0.1"),
+            # a number field takes a JSON number: not a bool, a string or an int beyond the float range
+            *[
+                pytest.param(block, key, value, id=f"{block}-{key}-{name}")
+                for block, key in [("attention", "lambda0"), ("contract", "T"), ("solver", "t_max"),
+                                   ("price_window", "p_hi")]
+                for name, value in [("true", True), ("string", "2.5"), ("1e400-int", 10**400)]
+            ],
         ],
     )
-    def test_non_finite_and_degenerate_inputs_exit_1(self, tmp_path, block, key, value):
+    def test_non_finite_and_degenerate_inputs_exit_1(self, tmp_path, capsys, block, key, value):
         record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
         record[block][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(record))
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
 
     def test_weibull_scale_beyond_the_float_range_exits_1(self, tmp_path, capsys):
         record = json.loads((SCENARIOS / "baseline_uniform.json").read_text())
@@ -179,6 +196,16 @@ class TestCliSolve:
         out = tmp_path / "x.csv"
         assert main(["solve", "--scenario", str(tmp_path / where), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("scenario error: cannot read scenario file")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"name": "x",', '{"name": ' + "1" * 5000 + "}"], ids=["truncated", "5000-digit-int"]
+    )
+    def test_scenario_file_that_json_cannot_read_exits_1(self, tmp_path, capsys, text):
+        path, out = tmp_path / "bad.json", tmp_path / "x.csv"
+        path.write_text(text)
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"scenario error: scenario file {path} is not valid JSON")
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["Infinity", "1e400", "256.7", "true"])
@@ -204,16 +231,22 @@ class TestCliSolve:
                 "sweep", "baseline_uniform",
                 lambda r: r.update(sweep={"param": "lambda0", "grid": [1.0, float("nan"), 3.0]}),
             ),
+            ("solve", "baseline_uniform", lambda r: r.update(solver=[1])),
+            ("hetero", "hetero_spread", lambda r: r["mixture"]["atoms"][0].__setitem__(0, True)),
+            ("sweep", "baseline_uniform", lambda r: r.update(sweep={"param": "lambda0", "grid": [True]})),
+            ("policy", "interior_uniform", lambda r: r["shock"].update(label=5)),
         ],
-        ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "mixture-atom-nan", "sweep-grid-nan"],
+        ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "mixture-atom-nan", "sweep-grid-nan",
+             "solver-not-an-object", "mixture-atom-true", "sweep-grid-true", "shock-label-number"],
     )
-    def test_non_finite_optional_blocks_exit_1(self, tmp_path, command, name, edit):
+    def test_non_finite_optional_blocks_exit_1(self, tmp_path, capsys, command, name, edit):
         record = json.loads((SCENARIOS / f"{name}.json").read_text())
         edit(record)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(record))
         out = tmp_path / "x.csv"
         assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("scenario error:")
         assert not out.exists()
 
     def test_infeasible_binding_participation_exit_code(self, tmp_path):
@@ -276,6 +309,21 @@ class TestCliSweep:
         assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
         rows = read_rows(out)
         assert [float(r["P"]) for r in rows] == [0.2, 0.4, 0.6, 0.8]
+
+    def test_attention_sweep_without_a_contract_reports_each_joint_optimum(self, tmp_path):
+        record = json.loads((SCENARIOS / "policy_iso_elastic.json").read_text())
+        assert "contract" not in record
+        record["sweep"] = {"param": "lambda0", "grid": [2.0, 2.5, 4.0]}
+        path, out = tmp_path / "lambda_sweep.json", tmp_path / "l.csv"
+        path.write_text(json.dumps(record))
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+        sc = scenario_mod.from_dict(record)
+        rows = read_rows(out)
+        assert len(rows) == 3
+        for row, lambda0 in zip(rows, sc.sweep.grid):
+            opt = joint_optimum(sc.distribution, dataclasses.replace(sc.attention, lambda0=lambda0), sc.solver)
+            want = {"T": opt.contract.T, "P": opt.contract.P, "profit": opt.outcome.profit}
+            assert {key: row[key] for key in want} == {key: cli._fmt(v) for key, v in want.items()}
 
 
 class TestCliPolicyPaidHetero:
