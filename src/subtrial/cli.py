@@ -27,13 +27,8 @@ from pathlib import Path
 from . import scenario as scenario_mod
 from .distributions import _use_plain_grids
 from .exceptions import ScenarioError, SubtrialError
-from .heterogeneity import aggregate_loss, mps_pair
-from .market import profit
-from .paid import joint_paid_optimum
-from .policy import DEFAULT_SHOCK, click_to_cancel_statics
 from .scenario import SWEEP_PARAMS, Scenario
 from .solver import PARTICIPATION_MODES, joint_optimum
-from .verify import run_invariant_checks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,6 +76,7 @@ def _cmd_solve(sc: Scenario, out: str, round_t: bool) -> None:
 
 def _sweep_point(sc: Scenario, value: float):
     """The swept scenario's base contract, or its joint optimum without one, and its outcome."""
+    from .market import profit
     block = SWEEP_PARAMS[sc.sweep.param]
     sc = replace(sc, **{block: replace(getattr(sc, block), **{sc.sweep.param: value})})
     contract = sc.contract or joint_optimum(sc.distribution, sc.attention, sc.solver).contract
@@ -100,6 +96,7 @@ def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _cmd_policy(sc: Scenario, out: str, round_t: bool) -> None:
+    from .policy import DEFAULT_SHOCK, click_to_cancel_statics
     shock = sc.shock or DEFAULT_SHOCK
     report = click_to_cancel_statics(sc.distribution, sc.attention, shock, sc.solver)
     base, shocked = report.baseline, report.shocked
@@ -117,6 +114,7 @@ def _cmd_policy(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _cmd_paid(sc: Scenario, out: str, round_t: bool) -> None:
+    from .paid import joint_paid_optimum
     if sc.signup is None:
         raise ScenarioError("scenario has no signup block")
     opt = joint_paid_optimum(sc.distribution, sc.attention, sc.signup, sc.solver)
@@ -130,6 +128,7 @@ def _cmd_paid(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _cmd_hetero(sc: Scenario, out: str, round_t: bool) -> None:
+    from .heterogeneity import aggregate_loss, mps_pair
     if sc.mixture is None:
         raise ScenarioError("scenario has no mixture block")
     if sc.contract is None:
@@ -147,6 +146,7 @@ def _cmd_hetero(sc: Scenario, out: str, round_t: bool) -> None:
 
 
 def _cmd_verify(sc: Scenario, out: str, round_t: bool) -> int | None:
+    from .verify import run_invariant_checks
     checks = run_invariant_checks(sc)
     rows = [
         {"scenario": sc.name, "module": c.module, "check": c.name, "status": "pass" if c.ok else "FAIL",

@@ -95,7 +95,7 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
     """
     if not (0.0 <= P <= 1.0 and 0.0 < lam < math.inf):  # an infinite lam makes h(x) 0 * inf
         raise DomainError(f"need P in [0, 1] and finite lam > 0, got P = {P}, lam = {lam}")
-    q, neg_entropy, _, q_miss = trial_terms(lam * P)
+    q, neg_entropy, q_miss = trial_terms(lam * P)
     expected_loss = q_miss * P
     entropy_cost = -neg_entropy / lam
     return MonitoringSolution(
@@ -113,23 +113,29 @@ def monitoring_objective(q: float, P: float, lam: float) -> float:
 
 def trial_terms(x):
     """The attention terms at x = lam * P >= 0, formed nowhere else: q* = sigma(x),
-    h(x) = -H(q*) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)), the
-    zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) and sigma(-x) = 1 - q*.
-    None is formed as 1 - q, so all keep full relative precision where q* rounds
-    to one; pi has e^-x divided out, is finite until x^2 underflows (+inf after),
-    falls strictly from +inf to 0, and satisfies 1/x < pi(x) < (3 + x)/x^2.  x may be an array."""
+    h(x) = -H(q*) = sigma(x) log1p(e^-x) + sigma(-x) (x + log1p(e^-x)) and
+    sigma(-x) = 1 - q*.  None is formed as 1 - q, so all keep full relative
+    precision where q* rounds to one.  x may be an array."""
     xp = math if isinstance(x, _SCALAR) else _NUMPY
     e = xp.exp(-x)
     log_term = xp.log1p(e)
     q, q_miss = 1.0 / (1.0 + e), e / (1.0 + e)
-    neg_entropy = q * log_term + q_miss * (x + log_term)
+    return q, q * log_term + q_miss * (x + log_term), q_miss
+
+
+def locus_price(x):
+    """The zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) at x = lam * P >= 0, with e^-x
+    divided out of h / sigma(-x) (the ratio log1p(e^-x) / e^-x is 1 where e^-x underflows):
+    finite until x^2 underflows (+inf after), falling strictly from +inf to 0, with
+    1/x < pi(x) < (3 + x)/x^2.  x may be an array."""
+    xp = math if isinstance(x, _SCALAR) else _NUMPY
+    e = xp.exp(-x)
+    log_term = xp.log1p(e)
     if xp is math:
         log_ratio = log_term / e if e > 0.0 else 1.0
-        locus_price = (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
-    else:  # the same limits per element: 0/0 is replaced by 1, and num/0 or an overflow is inf
-        with _NUMPY.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            locus_price = (1.0 + e) * (_NUMPY.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
-    return q, neg_entropy, locus_price, q_miss
+        return (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+    with _NUMPY.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the limits per element
+        return (1.0 + e) * (_NUMPY.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
 
 
 def q_derivatives(P: float, params: AttentionParams, T: float) -> tuple[float, float, float]:
@@ -139,7 +145,7 @@ def q_derivatives(P: float, params: AttentionParams, T: float) -> tuple[float, f
     keeps full relative precision where q* rounds to one.
     """
     lam = effective_lambda(params, T)
-    q, _, _, q_miss = trial_terms(lam * P)
+    q, _, q_miss = trial_terms(lam * P)
     slope = q * q_miss
     dlam_dT = -params.beta * params.gamma * params.lambda0 / (1.0 + params.beta * T) ** 2
     return lam * slope, P * slope, P * slope * dlam_dT

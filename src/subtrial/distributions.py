@@ -13,7 +13,8 @@ Three families are supported:
   increasing hazard for k >= 1.
 
 All quantities are deterministic pure functions; there is no sampling here.
-``survivor`` and ``pdf`` also take an array of valuations: a scan's whole grid.
+``survivor``, ``pdf`` and ``mass_density``, the pair (1 - survivor, pdf) in one
+call, also take an array of valuations: a scan's whole grid.
 
 Grids come in two kinds, one per scan route.  Library calls build numpy arrays
 and scan each in one array call; the CLI builds float tuples and scans them
@@ -163,6 +164,11 @@ class ValuationDistribution:
         tail = 1.0 - self.cdf(v)
         return tail + self.atom_at_one * (v >= 1.0) if self.atom_at_one else tail
 
+    def mass_density(self, v):
+        """(F, f) = (1 - survivor(v), pdf(v)) at a point or an array, bitwise, raising what the pair raises;
+        a family's own kernel checks the domain once (``_check_density``) and shares intermediates."""
+        return 1.0 - self.survivor(v), self.pdf(v)
+
     def hazard(self, v: float) -> float:
         """f(v) / survivor(v); raises when the survivor is numerically zero."""
         if not (0.0 < v < 1.0):
@@ -186,6 +192,14 @@ class ValuationDistribution:
         if not (0.0 < v < 1.0):
             raise DomainError(f"density is defined on (0, 1), got {v}")
 
+    @classmethod
+    def _check_density(cls, v) -> None:
+        """The checks of survivor and then pdf (``_check_each``), past one test of an array's min/max pair."""
+        lo, hi = (v, v) if isinstance(v, _SCALAR) else (v.min(initial=0.5), v.max(initial=0.5))
+        if not (0.0 < lo and hi < 1.0):  # a NaN fails here too
+            _check_each(v, cls._check_closed)
+            _check_each(v, cls._check_open)
+
 
 @dataclass(frozen=True)
 class Uniform(ValuationDistribution):
@@ -201,10 +215,13 @@ class Uniform(ValuationDistribution):
         object.__setattr__(self, "kinks", (self.a, self.b))
 
     def cdf(self, v: float) -> float:
+        _check_each(v, self._check_closed)
+        return self._clip(v)
+
+    def _clip(self, v):
+        """The cdf of a checked v."""
         if not isinstance(v, _SCALAR):  # the clip is the branches below, bitwise
-            _check_each(v, self._check_closed)
             return _NUMPY.minimum(_NUMPY.maximum((v - self.a) / (self.b - self.a), 0.0), 1.0)
-        self._check_closed(v)
         if v <= self.a:
             return 0.0
         if v >= self.b:
@@ -214,6 +231,10 @@ class Uniform(ValuationDistribution):
     def pdf(self, v: float) -> float:
         _check_each(v, self._check_open)
         return 1.0 / (self.b - self.a) * ((self.a <= v) & (v <= self.b))
+
+    def mass_density(self, v):
+        self._check_density(v)
+        return 1.0 - (1.0 - self._clip(v)), 1.0 / (self.b - self.a) * ((self.a <= v) & (v <= self.b))
 
     def surplus(self, P: float) -> float:
         self._check_closed(P)
@@ -272,6 +293,17 @@ class PiecewiseIsoElastic(ValuationDistribution):
             return self.kappa * v ** (-self.eps) if v < 1.0 else self.kappa
         return 1.0 - self._head_slope * v
 
+    def mass_density(self, v):
+        self._check_density(v)
+        if isinstance(v, _SCALAR):
+            if v < self.v0:
+                return 1.0 - (1.0 - self._head_slope * v), self._head_slope
+            return 1.0 - self.kappa * v ** (-self.eps), self.kappa * self.eps * v ** (-self.eps - 1.0)
+        m = _NUMPY.maximum(v, self.v0)
+        survivor = _NUMPY.where(v >= self.v0, self.kappa * _NUMPY.pow(m, -self.eps), 1.0 - self._head_slope * v)
+        tail = self.kappa * self.eps * _NUMPY.pow(m, -self.eps - 1.0)
+        return 1.0 - survivor, _NUMPY.where(v < self.v0, self._head_slope, tail)
+
     def surplus(self, P: float) -> float:
         """kappa (1 - m^(1-eps)) / (1 - eps), m = max(P, v0), plus the linear head below v0."""
         self._check_closed(P)
@@ -316,6 +348,14 @@ class TruncatedWeibull(ValuationDistribution):
         z, xp = v / self.s, math if isinstance(v, _SCALAR) else _NUMPY
         return (self.k / self.s) * xp.pow(z, self.k - 1.0) * xp.exp(-xp.pow(z, self.k)) / self._mass
 
+    def mass_density(self, v):
+        self._check_density(v)
+        z, xp = v / self.s, math if isinstance(v, _SCALAR) else _NUMPY
+        a = xp.pow(z, self.k)
+        e = xp.exp(-a)
+        density = (self.k / self.s) * xp.pow(z, self.k - 1.0) * e / self._mass
+        return 1.0 - e * -xp.expm1(a - self._b) / self._mass, density
+
     def surplus(self, P: float) -> float:
         """The survivor formula above integrated by a fixed Gauss-Legendre rule.  Its sum is a
         numpy dot product on either route, which no order of float additions reproduces."""
@@ -356,6 +396,8 @@ def from_fields(cls, record: dict):
 def from_spec(spec: dict) -> ValuationDistribution:
     """Build a distribution from its tagged-record form used in scenario files: the family's
     tag, then its fields as ``from_fields`` reads them."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"the distribution block must be a JSON object, got {spec!r}")
     family = spec.get("family")
     cls = _FAMILIES.get(family)
     if cls is None:

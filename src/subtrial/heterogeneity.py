@@ -57,7 +57,7 @@ def aggregate_loss(
 ) -> float:
     """P * F(P) * sum_i w_i sigma(-lambda_i P), sigma(-x) = 1 - q*(P, lambda_i)."""
     mass = cancel_mass(dist, contract.P)
-    fail = sum(w * trial_terms(lam * contract.P)[3] for lam, w in mixture.atoms)
+    fail = sum(w * trial_terms(lam * contract.P)[2] for lam, w in mixture.atoms)
     return contract.P * mass * fail
 
 

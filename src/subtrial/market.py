@@ -80,7 +80,7 @@ def inattentive_revenue(
 def revenue(dist: ValuationDistribution, lam: float, P: float) -> float:
     """Profit at (lam_eff, P): P (1 - F(P)) + P F(P) sigma(-lam P)."""
     survivor = dist.survivor(P)
-    return P * (survivor + (1.0 - survivor) * trial_terms(lam * P)[3])
+    return P * (survivor + (1.0 - survivor) * trial_terms(lam * P)[2])
 
 
 def surplus_integral(dist: ValuationDistribution, P: float) -> float:
@@ -90,7 +90,7 @@ def surplus_integral(dist: ValuationDistribution, P: float) -> float:
 
 def _utility(surplus: float, mass: float, P: float, lam: float, terms: tuple) -> float:
     """S(P) - P F(P) sigma(-x) - F(P) h(x) / lam from the trial_terms at x = lam P."""
-    return surplus - P * mass * terms[3] - terms[1] / lam * mass
+    return surplus - P * mass * terms[2] - terms[1] / lam * mass
 
 
 def utility_in_x(dist: ValuationDistribution, P: float) -> Callable[[float], float]:
@@ -114,7 +114,7 @@ def consumer_utility(
     if q_override is None:
         return profit(dist, params, contract).utility
     lam, P, q = effective_lambda(params, contract.T), contract.P, q_override
-    return _utility(surplus_integral(dist, P), cancel_mass(dist, P), P, lam, (q, -entropy(q), None, 1.0 - q))
+    return _utility(surplus_integral(dist, P), cancel_mass(dist, P), P, lam, (q, -entropy(q), 1.0 - q))
 
 
 def ir_slack(
@@ -137,7 +137,7 @@ def profit(
     P, x = contract.P, lam * contract.P
     terms, survivor = trial_terms(x), dist.survivor(P)
     std, mass = P * survivor, 1.0 - survivor
-    ir = P * mass * terms[3]
+    ir = P * mass * terms[2]
     return MarketOutcome(
         standard_revenue=std,
         inattentive_revenue=ir,

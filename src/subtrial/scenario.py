@@ -13,20 +13,22 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .consumer import AttentionParams
 from .distributions import PriceWindow, ValuationDistribution, from_fields, from_spec, number
 from .exceptions import ScenarioError, SubtrialError
-from .heterogeneity import AttentionMixture
 from .market import Contract
-from .paid import SignupModel
-from .policy import PolicyShock
 from .solver import SolverConfig
+
+if TYPE_CHECKING:  # the optional blocks' modules load only with a block that needs them
+    from .heterogeneity import AttentionMixture
+    from .paid import SignupModel
+    from .policy import PolicyShock
 
 # each sweep parameter, and the block whose record it is a field of
 SWEEP_PARAMS = {"T": "contract", "P": "contract", "lambda0": "attention", "beta": "attention", "gamma": "attention"}
-_RECORDS = {"attention": AttentionParams, "solver": SolverConfig, "contract": Contract, "signup": SignupModel,
-            "shock": PolicyShock}
+_RECORDS = {"attention": AttentionParams, "solver": SolverConfig, "contract": Contract}
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,12 @@ def _require(record: dict, key: str) -> object:
 
 
 def _csv_text(value: object, what: str) -> str:
-    """value as text that a CSV field carries raw: no comma, double quote or line break."""
-    text = str(value)
-    if any(c in text for c in ',"\r\n'):
-        raise ScenarioError(f"{what} {text!r} holds a comma, a double quote or a line break")
-    return text
+    """value as text that a CSV field carries raw: a JSON string with no comma, double quote or line break."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{what} must be a JSON string, got {value!r}")
+    if any(c in value for c in ',"\r\n'):
+        raise ScenarioError(f"{what} {value!r} holds a comma, a double quote or a line break")
+    return value
 
 
 def _check_sweep(sweep: SweepAxis, blocks: dict) -> SweepAxis:
@@ -97,16 +100,22 @@ def from_dict(record: dict) -> Scenario:
         given = {**record, "attention": _require(record, "attention"),
                  "solver": {**record.get("solver", {}), "price_window": window, "max_iter": SolverConfig.max_iter}}
         blocks = {key: from_fields(cls, given[key]) for key, cls in _RECORDS.items() if key in given}
-        if "shock" in blocks:
+        if "signup" in given:
+            from .paid import SignupModel
+            blocks["signup"] = from_fields(SignupModel, given["signup"])
+        if "shock" in given:
+            from .policy import PolicyShock
+            blocks["shock"] = from_fields(PolicyShock, given["shock"])
             _csv_text(blocks["shock"].label, "shock label")
         if "mixture" in record:
+            from .heterogeneity import AttentionMixture
             atoms = tuple((number(lam), number(w)) for lam, w in record["mixture"]["atoms"])
             blocks["mixture"] = from_fields(AttentionMixture, {**record["mixture"], "atoms": atoms})
         if "sweep" in record:
             grid = tuple(map(number, record["sweep"]["grid"]))
             blocks["sweep"] = _check_sweep(from_fields(SweepAxis, {**record["sweep"], "grid": grid}), blocks)
         return Scenario(name=_csv_text(_require(record, "name"), "scenario name"),
-                        distribution=from_spec(dict(_require(record, "distribution"))), **blocks)
+                        distribution=from_spec(_require(record, "distribution")), **blocks)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, SubtrialError) as exc:

@@ -19,11 +19,12 @@ law, and returns the fixed point with the smallest T.  Maximizing profit
 over T instead does not work: profit is strictly increasing in T whenever
 beta > 0 and F(P) > 0, so it just climbs to the cap.  ``binding_ir`` mode
 stops that climb where utility, also a function of (lam_eff, P), is zero.
-Scans run on a grid and the polish is scalar: a scan of the locus in x is
-one numpy call on its grid, and the lambda-free terms of the price condition
-on the window grid, 1 - F - P f, F + P f and P F, are tabulated once per
-solve, so each window scan only combines them with q* at its lambda_eff.  On
-a plain float grid (the CLI's) each scan point goes through the scalar code.
+Every evaluation reads F and f from one ``mass_density`` call and pi from
+``locus_price``.  Scans run on a grid and the polish is scalar: a locus scan
+in x is one numpy call on its grid, and the lambda-free terms on the window
+grid, 1 - F - P f, F + P f and P F, are tabulated once per solve, so each
+window scan only combines them with q* at its lambda_eff.  On a plain float
+grid (the CLI's) each scan point goes through the scalar code.
 Each sign change a scan finds gets a Ridder polish on floats, except one that
 is the jump of the condition at a declared density kink inside its cell: it
 holds no root, and is not polished.
@@ -42,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .consumer import AttentionParams, cost_slope, effective_lambda, trial_length, trial_terms
+from .consumer import AttentionParams, cost_slope, effective_lambda, locus_price, trial_length, trial_terms
 from .distributions import (_NUMPY, _SCALAR, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid,
                             golden_max, lambda_crit, scan)
 from .exceptions import (ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError,
@@ -115,8 +116,14 @@ def price_foc(dist: ValuationDistribution, params: AttentionParams, T: float, P:
 
 
 def _price_condition(dist: ValuationDistribution, lam, P):
-    """The price condition at (lam, P); at a scan's grid, one of them or both are arrays."""
-    return _price_terms(P, lam, *_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)))
+    """The price condition at (lam, P) from one ``mass_density`` call, in the order of
+    ``_lambda_free_terms`` and ``_window_scan``; at a scan's grid, one of them or both are arrays."""
+    F, f = dist.mass_density(P)
+    Pf = P * f
+    x = lam * P
+    q = 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
+    miss = 1.0 - q
+    return (1.0 - F - Pf) + (miss * (F + Pf) - P * F * lam * q * miss)
 
 
 def _lambda_free_terms(P, F, f):
@@ -126,26 +133,26 @@ def _lambda_free_terms(P, F, f):
     return 1.0 - F - Pf, F + Pf, P * F
 
 
-def _price_terms(P, lam, standard, dPF, PF):
-    """The price condition at (lam, P) from the lambda-free terms at P and q* = 1 / (1 + e^(-lam P))."""
-    x = lam * P
-    q = 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
-    miss = 1.0 - q
-    return standard + (miss * dPF - PF * lam * q * miss)
-
-
 def _window_table(dist: ValuationDistribution, config: SolverConfig) -> tuple:
     """(grid, 1 - F - P f, F + P f, P F) on the price window's scan grid: the lambda-free
     terms of every window scan, as arrays or, on a plain grid, float tuples."""
     grid = config.price_window.grid(config.bracket_grid + 1)
     if type(grid) is tuple:
-        return grid, *zip(*(_lambda_free_terms(P, cancel_mass(dist, P), dist.pdf(P)) for P in grid))
-    return grid, *_lambda_free_terms(grid, cancel_mass(dist, grid), dist.pdf(grid))
+        return grid, *zip(*(_lambda_free_terms(P, *dist.mass_density(P)) for P in grid))
+    return grid, *_lambda_free_terms(grid, *dist.mass_density(grid))
 
 
 def _window_scan(table: tuple, lam: float):
-    """The price condition at lam on the window table's grid, bitwise ``_price_condition`` there."""
-    return scan(lambda P, standard, dPF, PF: _price_terms(P, lam, standard, dPF, PF), *table)
+    """The price condition at lam on the window table's grid from its lambda-free terms and
+    q* = 1 / (1 + e^(-lam P)): bitwise ``_price_condition`` there."""
+
+    def condition(P, standard, dPF, PF):
+        x = lam * P
+        q = 1.0 / (1.0 + (math if isinstance(x, _SCALAR) else _NUMPY).exp(-x))
+        miss = 1.0 - q
+        return standard + (miss * dPF - PF * lam * q * miss)
+
+    return scan(condition, *table)
 
 
 def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T: float) -> float:
@@ -158,24 +165,24 @@ def trial_foc(dist: ValuationDistribution, params: AttentionParams, P: float, T:
     if params.beta == 0.0 or mass == 0.0:
         return 0.0
     x = effective_lambda(params, T) * P
-    q, neg_entropy, _, q_miss = trial_terms(x)
+    q, neg_entropy, q_miss = trial_terms(x)
     return cost_slope(params) * mass * (P * x * x * (q * q_miss) - neg_entropy)
 
 
 def _trial_positive(dist: ValuationDistribution, params: AttentionParams, lam: float, P: float) -> bool:
     """Sign of the trial condition at (lam, P): g > 0 exactly when P > pi(lam P)."""
-    return params.beta > 0.0 and cancel_mass(dist, P) > 0.0 and P > trial_terms(lam * P)[2]
+    return params.beta > 0.0 and cancel_mass(dist, P) > 0.0 and P > locus_price(lam * P)
 
 
 def _locus_x(P: float, config: SolverConfig) -> float:
     """x_g(P), the x = lam P at which the trial condition vanishes at price P."""
     hi = (1.0 + math.sqrt(1.0 + 12.0 * P)) / (2.0 * P)
-    return _polish(lambda x: trial_terms(x)[2] - P, 1.0 / P, hi, config)[0]
+    return _polish(lambda x: locus_price(x) - P, 1.0 / P, hi, config)[0]
 
 
 def _on_locus(dist: ValuationDistribution, x):
     """The price condition on the g = 0 locus at x = lam P, where P = pi(x); x may be an array."""
-    price = trial_terms(x)[2]
+    price = locus_price(x)
     return _price_condition(dist, x / price, price)
 
 
@@ -249,7 +256,7 @@ def _scan_roots(f, grid, vals, config: SolverConfig, kinks=()) -> list[float]:
         cells = [i for i, product in enumerate(products) if not product > 0.0]
     else:
         products = vals[:-1] * vals[1:]
-        cells = _NUMPY.flatnonzero(~(products > 0.0))
+        cells = (~(products > 0.0)).nonzero()[0]
     for i in cells:
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
@@ -371,7 +378,7 @@ def joint_optimum(
     x_grid = geometric_grid(x_top, x_bottom, config.bracket_grid + 1)
     on_locus = lambda x: _on_locus(dist, x)
     x_roots = _scan_roots(on_locus, x_grid, scan(on_locus, x_grid), config)
-    points = [(x, trial_terms(x)[2], False) for x in x_roots]
+    points = [(x, locus_price(x), False) for x in x_roots]
     points += [(x_top, w.p_hi, True), (x_bottom, w.p_lo, True)]
     candidates = sorted(
         ((x / p, p, edge) for x, p, edge in points if lam_lo <= x / p <= lam_hi),

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import best_price_by_points, scan_roots_by_points
 from subtrial import solver
-from subtrial.consumer import effective_lambda, trial_terms
+from subtrial.consumer import effective_lambda, locus_price, trial_terms
 from subtrial.distributions import (PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, gauss_legendre,
                                     geometric_grid, linear_grid)
 from subtrial.exceptions import DomainError, NoRootError
@@ -110,16 +110,80 @@ class TestDistributionKernels:
                 dist.pdf(np.array([0.5, end]))
 
 
+def parent_locus_price(x):
+    """pi(x) as ``trial_terms`` formed it before ``locus_price`` had a home of its own."""
+    xp = math if isinstance(x, float) else np
+    e = xp.exp(-x)
+    log_term = xp.log1p(e)
+    if xp is math:
+        log_ratio = log_term / e if e > 0.0 else 1.0
+        return (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (1.0 + e) * (np.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
+
+
 class TestConsumerKernels:
     X = np.concatenate([[1e-170, 1e-160, 1e-150], np.geomspace(1e-4, 700.0, 300), [745.2, 800.0, 1e3, 1e5]])
 
+    def test_locus_price_is_bitwise_the_parent_formula(self):
+        # x^2 underflows below ~1.5e-162 (pi is +inf) and e^-x below ~745.1 (the ratio's limit 1)
+        assert np.isinf(locus_price(self.X[:2])).all() and np.isfinite(locus_price(self.X[2:])).all()
+        assert np.array_equal(bits(locus_price(self.X)), bits(parent_locus_price(self.X)))
+        assert [bits(locus_price(float(x))) for x in self.X] == [bits(parent_locus_price(float(x))) for x in self.X]
+
     def test_locus_price_matches_scalar(self):
-        assert_within_ulps(trial_terms(self.X)[2], [trial_terms(float(x))[2] for x in self.X])
+        assert_within_ulps(locus_price(self.X), [locus_price(float(x)) for x in self.X])
 
     def test_other_terms_match_scalar(self):
         scalar = [trial_terms(float(x)) for x in self.X]
-        for j in (0, 1, 3):
+        for j in (0, 1, 2):
             assert_within_ulps(trial_terms(self.X)[j], [t[j] for t in scalar])
+
+
+def pair_or_error(fn):
+    """fn()'s pair as bits and types, or the type and message of the error it raises."""
+    try:
+        F, f = fn()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return bits(F).tolist(), bits(f).tolist(), type(F), type(f)
+
+
+def assert_mass_density_is_the_pair(dist, v):
+    assert pair_or_error(lambda: dist.mass_density(v)) == pair_or_error(lambda: (cancel_mass(dist, v), dist.pdf(v)))
+
+
+class TestMassDensity:
+    """``mass_density`` is bitwise the pair (``cancel_mass``, ``pdf``), and raises what the pair raises."""
+
+    @pytest.mark.parametrize("dist", KERNEL_DRAWS, ids=repr)
+    def test_points_and_arrays(self, dist):
+        v = kernel_grid(dist, random.Random(repr(dist)), closed=False)
+        kinks = [p for k in dist.kinks for p in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]
+        near_ends = [5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53]
+        for point in [*map(float, v), *kinks, *near_ends]:
+            assert_mass_density_is_the_pair(dist, point)
+        assert_mass_density_is_the_pair(dist, v)
+        assert_mass_density_is_the_pair(dist, np.array([]))
+
+    @pytest.mark.parametrize("dist", KERNEL_DRAWS[:6] + [PiecewiseIsoElastic(0.3, 0.4, 0.2)], ids=repr)
+    @pytest.mark.parametrize("bad", [-0.1, 0.0, 1.0, 1.5, math.nan])
+    def test_errors_are_the_pairs(self, dist, bad):
+        assert pair_or_error(lambda: dist.mass_density(bad))[0] is DomainError
+        assert_mass_density_is_the_pair(dist, bad)
+        for where in range(3):
+            assert_mass_density_is_the_pair(dist, np.insert(np.array([0.3, 0.6]), where, bad))
+        assert_mass_density_is_the_pair(dist, np.array([0.3, math.nan, 1.5, -0.1, 0.0, 1.0]))
+
+    def test_scalar_price_condition_makes_one_kernel_call(self, monkeypatch):
+        for dist in (Uniform(0.1, 0.8), PiecewiseIsoElastic(0.3, 0.4, 0.2), TruncatedWeibull(2.0, 0.5)):
+            calls = []
+            for method in ("mass_density", "survivor", "pdf", "cdf"):
+                original = getattr(type(dist), method)
+                wrapped = lambda self, v, method=method, original=original: calls.append(method) or original(self, v)
+                monkeypatch.setattr(type(dist), method, wrapped)
+            _price_condition(dist, 10.0, 0.43)
+            assert calls == ["mass_density"], dist
 
 
 def model_draws(seed: int, n: int) -> list:
@@ -141,6 +205,18 @@ def outcome(fn):
         return fn()
     except NoRootError:
         return NoRootError
+
+
+class TestMassDensityOnScanGrids:
+    @pytest.mark.parametrize("draw", SCAN_DRAWS, ids=lambda d: repr(d.dist))
+    def test_window_and_locus_grids(self, draw):
+        """Bitwise the pair on the window grid and on the locus scan's prices, as arrays and at each point."""
+        w, config = draw.config.price_window, draw.config
+        x_grid = geometric_grid(_locus_x(w.p_hi, config), _locus_x(w.p_lo, config), config.bracket_grid + 1)
+        for grid in (w.grid(config.bracket_grid + 1), locus_price(x_grid)):
+            assert_mass_density_is_the_pair(draw.dist, grid)
+            for P in map(float, grid):
+                assert_mass_density_is_the_pair(draw.dist, P)
 
 
 class TestPriceConditionArray:

@@ -1,7 +1,8 @@
 """The runtime needs numpy for library scans only: importing the package and its CLI loads
 no scipy and no numpy, and a CLI command on a bundled scenario runs without numpy.  The one
 exception is a truncated Weibull's surplus, a numpy dot product: a command that reads it,
-such as a Weibull solve, loads numpy.  Modules share helpers by public name only."""
+such as a Weibull solve, loads numpy.  A command imports the experiment modules it runs, and
+a scenario's parse those its optional blocks need.  Modules share helpers by public name only."""
 
 import ast
 import json
@@ -51,6 +52,20 @@ def test_a_weibull_solve_loads_numpy_for_its_surplus(tmp_path):
     scenario = tmp_path / "weibull.json"
     scenario.write_text(json.dumps(record))
     assert cli_calls_loading_numpy([["solve", "--scenario", str(scenario)]], tmp_path / "out.csv") == ["0 True"]
+
+
+def test_a_solve_loads_no_experiment_module(tmp_path):
+    # monopoly_limit has no signup, shock or mixture block, so neither its parse nor its solve needs their modules
+    argv = ["solve", "--scenario", str(ROOT / "scenarios" / "monopoly_limit.json"), "--out", str(tmp_path / "out.csv")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from subtrial.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    exit_code = main({argv!r})\n"
+        "loaded = [m for m in ('paid', 'policy', 'heterogeneity', 'verify') if 'subtrial.' + m in sys.modules]\n"
+        "print(exit_code, loaded)\n"
+    )
+    assert run_python(code) == ["0 []"]
 
 
 def test_package_and_cli_import_no_scipy_and_no_numpy():

@@ -235,9 +235,12 @@ class TestCliSolve:
             ("hetero", "hetero_spread", lambda r: r["mixture"]["atoms"][0].__setitem__(0, True)),
             ("sweep", "baseline_uniform", lambda r: r.update(sweep={"param": "lambda0", "grid": [True]})),
             ("policy", "interior_uniform", lambda r: r["shock"].update(label=5)),
+            ("solve", "baseline_uniform", lambda r: r.update(name=5)),
+            ("solve", "baseline_uniform", lambda r: r.update(distribution=[["family", "uniform"]])),
         ],
         ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "mixture-atom-nan", "sweep-grid-nan",
-             "solver-not-an-object", "mixture-atom-true", "sweep-grid-true", "shock-label-number"],
+             "solver-not-an-object", "mixture-atom-true", "sweep-grid-true", "shock-label-number", "name-number",
+             "distribution-not-an-object"],
     )
     def test_non_finite_optional_blocks_exit_1(self, tmp_path, capsys, command, name, edit):
         record = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -372,11 +375,10 @@ class TestCliVerify:
         assert rows and all(r["status"] == "pass" for r in rows)
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
-        from subtrial import cli as cli_mod
         from subtrial.verify import CheckResult
 
         monkeypatch.setattr(
-            cli_mod,
+            verify,
             "run_invariant_checks",
             lambda sc: [CheckResult("demo", "forced_failure", False, "synthetic")],
         )

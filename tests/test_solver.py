@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import ridder
 
 from oracles import best_price_by_grid, binding_by_grid, joint_by_grid
-from subtrial.consumer import AttentionParams, effective_lambda, optimal_q, trial_terms
+from subtrial.consumer import AttentionParams, effective_lambda, locus_price, optimal_q
 from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, check_ifr, lambda_crit
 from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
@@ -475,7 +475,7 @@ POLISH_CASES = {
     "uniform-price": (lambda p: price_foc(U01, AttentionParams(5.0), 0.0, p), 0.05, 0.95),
     "iso-price": (lambda p: price_foc(ISO_CURVE, AttentionParams(2.5, 0.01), 0.0, p), 0.25, 0.9),
     "weibull-price": (lambda p: price_foc(TruncatedWeibull(2.0, 0.5), AttentionParams(5.0), 0.0, p), 0.05, 0.95),
-    "locus": (lambda x: trial_terms(x)[2] - 0.3, 1.0 / 0.3, (1.0 + math.sqrt(4.6)) / 0.6),
+    "locus": (lambda x: locus_price(x) - 0.3, 1.0 / 0.3, (1.0 + math.sqrt(4.6)) / 0.6),
     "cubic": (lambda x: x**3 - 2.0, 0.0, 2.0),
     # the price condition jumps across zero at the iso-elastic splice v0 = 0.2
     "iso-kink-jump": (lambda p: price_foc(ISO_CURVE, AttentionParams(30.0), 0.0, p), 0.19, 0.21),
