@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -89,7 +89,7 @@ def _cmd_sweep(sc: Scenario, out: str, round_t: bool) -> None:
     results = [_sweep_point(sc, v) for v in sc.sweep.grid]
     rows = [
         {"scenario": sc.name, "param": sc.sweep.param, "value": value, "T": _maybe_round(contract.T, round_t),
-         "P": contract.P, **asdict(outcome)}
+         "P": contract.P, **outcome._asdict()}
         for value, (contract, outcome) in zip(sc.sweep.grid, results)
     ]
     _write_csv(out, "market outcome per sweep grid point, buffered in grid order", rows)

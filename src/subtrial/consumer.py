@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distributions import _NUMPY, _SCALAR
 from .exceptions import DomainError
@@ -38,8 +39,9 @@ class AttentionParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.lambda0, self.beta, self.gamma)):
-            raise DomainError(f"attention parameters must be finite, got {self}")
+        # gamma * lambda0 is the sensitivity lam(0), which every lam(T) divides down from
+        if not all(math.isfinite(v) for v in (self.lambda0, self.beta, self.gamma, self.gamma * self.lambda0)):
+            raise DomainError(f"attention parameters and gamma * lambda0 must be finite, got {self}")
         if self.lambda0 <= 0.0:
             raise DomainError(f"lambda0 must be positive, got {self.lambda0}")
         if self.beta < 0.0:
@@ -48,8 +50,7 @@ class AttentionParams:
             raise DomainError(f"gamma must be at least 1, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class MonitoringSolution:
+class MonitoringSolution(NamedTuple):
     """Minimizer of the monitoring objective and its value decomposition."""
 
     q_star: float
@@ -98,12 +99,7 @@ def optimal_q(P: float, lam: float) -> MonitoringSolution:
     q, neg_entropy, q_miss = trial_terms(lam * P)
     expected_loss = q_miss * P
     entropy_cost = -neg_entropy / lam
-    return MonitoringSolution(
-        q_star=q,
-        objective_value=expected_loss + entropy_cost,
-        entropy_cost=entropy_cost,
-        expected_loss=expected_loss,
-    )
+    return MonitoringSolution(q, expected_loss + entropy_cost, entropy_cost, expected_loss)
 
 
 def monitoring_objective(q: float, P: float, lam: float) -> float:

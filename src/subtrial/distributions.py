@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .exceptions import DomainError, SingularityError, UnboundedError
 
@@ -405,8 +406,7 @@ def from_spec(spec: dict) -> ValuationDistribution:
     return from_fields(cls, spec)
 
 
-@dataclass(frozen=True)
-class IfrReport:
+class IfrReport(NamedTuple):
     """Outcome of the increasing-hazard diagnostic over a window."""
 
     is_ifr: bool

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .consumer import AttentionParams, effective_lambda, q_derivatives
 from .distributions import ValuationDistribution
@@ -46,14 +47,19 @@ class SignupModel:
             raise DomainError(
                 f"alpha, theta, cap must be positive and finite, got ({self.alpha}, {self.theta}, {self.cap})"
             )
+        try:  # the power raises OverflowError, while alpha / cap alone can round to inf
+            edge = self.cap_edge()
+        except OverflowError:
+            edge = math.inf
+        if not math.isfinite(edge):
+            raise DomainError(f"the cap edge (alpha / cap)^(1/theta) overflows a float for {self}")
 
     def cap_edge(self) -> float:
         """Largest P0 at which the sign-up rate is still capped."""
         return (self.alpha / self.cap) ** (1.0 / self.theta)
 
 
-@dataclass(frozen=True)
-class PaidTrialOptimum:
+class PaidTrialOptimum(NamedTuple):
     contract: Contract
     p_aug: float
     signup_rate: float
@@ -175,4 +181,4 @@ def joint_paid_optimum(
         P0 = model.cap_edge()
         capped = True
     # profit_paid labels the corner from the contract: P0 = 0, else T = 0 (t_zero)
-    return replace(profit_paid(dist, params, model, replace(free.contract, P0=P0)), capped=capped)
+    return profit_paid(dist, params, model, replace(free.contract, P0=P0))._replace(capped=capped)

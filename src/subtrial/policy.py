@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .consumer import AttentionParams
 from .distributions import PiecewiseIsoElastic, ValuationDistribution, argmax, window_max
@@ -43,8 +44,7 @@ class PolicyShock:
 DEFAULT_SHOCK = PolicyShock(gamma=2.0, label="default_boost")  # the shock of a scenario without one
 
 
-@dataclass(frozen=True)
-class ComparativeStaticsReport:
+class ComparativeStaticsReport(NamedTuple):
     baseline: OptimalContract
     shocked: OptimalContract
     dT_dGamma: float
@@ -94,16 +94,14 @@ def click_to_cancel_statics(
     )
 
 
-@dataclass(frozen=True)
-class BetaCurvePoint:
+class BetaCurvePoint(NamedTuple):
     beta: float
     profit: float
     T_star: float
     P_star: float
 
 
-@dataclass(frozen=True)
-class BetaCurve:
+class BetaCurve(NamedTuple):
     points: tuple[BetaCurvePoint, ...]
     argmax_beta: float
     interior_max: bool

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .consumer import AttentionParams, cost_slope, effective_lambda, locus_price, trial_length, trial_terms
 from .distributions import (_NUMPY, _SCALAR, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid,
@@ -83,22 +84,19 @@ class SolverConfig:
             raise ValueError(f"unknown participation mode {self.participation_mode!r}")
 
 
-@dataclass(frozen=True)
-class PriceSolution:
+class PriceSolution(NamedTuple):
     price: float
     residual: float
     roots: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TrialSolution:
+class TrialSolution(NamedTuple):
     T: float
     residual: float
     at_zero: bool
 
 
-@dataclass(frozen=True)
-class OptimalContract:
+class OptimalContract(NamedTuple):
     contract: Contract
     outcome: MarketOutcome
     foc_residuals: tuple[float, float]

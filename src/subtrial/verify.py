@@ -8,12 +8,14 @@ means numerical breakage, not a modeling disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import replace
+from typing import NamedTuple
 
-from .consumer import effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
+from .consumer import AttentionParams, effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
 from .distributions import (SURVIVOR_FLOOR, PriceWindow, check_ifr, gauss_legendre, golden_max, lambda_crit,
                             linear_grid, scan)
-from .exceptions import SingularityError, UnboundedError
+from .exceptions import DomainError, SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
 from .paid import intro_price_foc, optimal_intro_price, profit_paid, signup_rate
@@ -22,8 +24,7 @@ from .scenario import Scenario
 from .solver import price_foc
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     module: str
     name: str
     ok: bool
@@ -36,199 +37,204 @@ def _rel_err(actual: float, expected: float) -> float:
 
 
 def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
+    """The checks in a fixed order.  One whose arithmetic leaves the model's domain or the float range
+    (at extreme attention lam(T) underflows to 0, or a finite-difference step overflows) passes as
+    ``skipped: <reason>``: the diagnostic reports and never aborts."""
     checks: list[CheckResult] = []
-    dist = scenario.distribution
-    params = scenario.attention
-    window = scenario.solver.price_window
+    dist, params, window = scenario.distribution, scenario.attention, scenario.solver.price_window
 
-    def add(module: str, name: str, ok: bool, detail: str) -> None:
-        checks.append(CheckResult(module=module, name=name, ok=bool(ok), detail=detail))
+    def check(module: str) -> Callable[[Callable[[], tuple[bool, str]]], None]:
+        """Run the decorated function, which returns (ok, detail), now as the check named after it."""
+        def run(fn: Callable[[], tuple[bool, str]]) -> None:
+            try:
+                ok, detail = fn()
+            except (ArithmeticError, DomainError) as exc:
+                ok, detail = True, f"skipped: {type(exc).__name__}: {exc}"
+            checks.append(CheckResult(module, fn.__name__, bool(ok), detail))
+        return run
 
     # --- distributions ---
     grid = window.grid(41)
-    cdf_vals = [dist.cdf(v) for v in grid]
-    add(
-        "distributions",
-        "cdf_monotone",
-        all(b >= a - 1e-14 for a, b in zip(cdf_vals, cdf_vals[1:])),
-        "nondecreasing over the window grid",
-    )
-    h = 1e-6
-    fd_err = max(
-        _rel_err((dist.survivor(v - h) - dist.survivor(v + h)) / (2 * h), dist.pdf(v))
-        for v in grid
-        if _smooth_point(dist, v, h)
-    )
-    add("distributions", "cdf_pdf_consistency", fd_err <= 1e-4, f"max rel err {fd_err:.2e}")
-    # the hazard is undefined at the floor
-    defined = [v for v, s in zip(grid, scan(dist.survivor, grid)) if s > SURVIVOR_FLOOR]
-    hz_err = max((_rel_err(dist.hazard(v) * dist.survivor(v), dist.pdf(v)) for v in defined), default=0.0)
-    add("distributions", "hazard_times_survivor", hz_err <= 1e-10, f"max rel err {hz_err:.2e}")
-    mass = _total_mass(dist)
-    add("distributions", "total_mass", abs(mass - 1.0) <= 1e-8, f"mass {mass:.12f}")
-    inner = PriceWindow(
-        window.p_lo + 0.2 * (window.p_hi - window.p_lo),
-        window.p_hi - 0.2 * (window.p_hi - window.p_lo),
-    )
-    try:
-        crit_full, crit_inner = lambda_crit(dist, window), lambda_crit(dist, inner)
-        ok, detail = crit_inner <= crit_full + 1e-9, f"inner {crit_inner:.6g} vs full {crit_full:.6g}"
-    except (SingularityError, UnboundedError):
-        ok, detail = True, "skipped: hazard unbounded on the window"
-    add("distributions", "lambda_crit_window_monotone", ok, detail)
+    @check("distributions")
+    def cdf_monotone():
+        cdf_vals = [dist.cdf(v) for v in grid]
+        return all(b >= a - 1e-14 for a, b in zip(cdf_vals, cdf_vals[1:])), "nondecreasing over the window grid"
+    @check("distributions")
+    def cdf_pdf_consistency():
+        h = 1e-6
+        fd_err = max(_rel_err((dist.survivor(v - h) - dist.survivor(v + h)) / (2 * h), dist.pdf(v))
+                     for v in grid if _smooth_point(dist, v, h))
+        return fd_err <= 1e-4, f"max rel err {fd_err:.2e}"
+    @check("distributions")
+    def hazard_times_survivor():
+        # the hazard is undefined at the floor
+        defined = [v for v, s in zip(grid, scan(dist.survivor, grid)) if s > SURVIVOR_FLOOR]
+        hz_err = max((_rel_err(dist.hazard(v) * dist.survivor(v), dist.pdf(v)) for v in defined), default=0.0)
+        return hz_err <= 1e-10, f"max rel err {hz_err:.2e}"
+    @check("distributions")
+    def total_mass():
+        mass = _total_mass(dist)
+        return abs(mass - 1.0) <= 1e-8, f"mass {mass:.12f}"
+    @check("distributions")
+    def lambda_crit_window_monotone():
+        span = window.p_hi - window.p_lo
+        inner = PriceWindow(window.p_lo + 0.2 * span, window.p_hi - 0.2 * span)
+        try:
+            crit_full, crit_inner = lambda_crit(dist, window), lambda_crit(dist, inner)
+        except (SingularityError, UnboundedError):
+            return True, "skipped: hazard unbounded on the window"
+        return crit_inner <= crit_full + 1e-9, f"inner {crit_inner:.6g} vs full {crit_full:.6g}"
 
     # --- consumer ---
-    worst = 0.0
-    for P in (0.1, 0.35, 0.7, 1.0):
-        for lam in (0.2, 1.0, 4.0):
-            numeric = golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
-            worst = max(worst, abs(optimal_q(P, lam).q_star - numeric))
-    add("consumer", "closed_form_vs_direct_min", worst <= 1e-8, f"max |dq| {worst:.2e}")
-    qs = linear_grid(0.05, 0.95, 7)
-    convex = all(
-        entropy(0.5 * (a + b)) < 0.5 * (entropy(a) + entropy(b)) - 1e-12
-        for a in qs
-        for b in qs
-        if abs(a - b) > 1e-9
-    )
-    add("consumer", "entropy_strictly_convex", convex, "midpoint inequality on a grid")
-    worst = 0.0
-    hx = 1e-5  # step in lam * P units: keeps truncation and cancellation balanced
-    for T in (0.5, 2.0):
-        lam = effective_lambda(params, T)
-        # keep lam * P moderate: at saturation the central difference itself
-        # cancels catastrophically and stops being a usable oracle
-        for P in (min(0.6, 3.0 / lam), min(0.2, 1.0 / lam)):
-            dq_dP, dq_dlam, dq_dT = q_derivatives(P, params, T)
-            s_p = hx / lam
-            s_lam = hx / P
-            fd_P = (optimal_q(P + s_p, lam).q_star - optimal_q(P - s_p, lam).q_star) / (2 * s_p)
-            fd_lam = (optimal_q(P, lam + s_lam).q_star - optimal_q(P, lam - s_lam).q_star) / (2 * s_lam)
-            worst = max(worst, _rel_err(dq_dP, fd_P), _rel_err(dq_dlam, fd_lam))
-            if params.beta > 0:
-                s_t = 1e-6
-                fd_T = (
-                    optimal_q(P, effective_lambda(params, T + s_t)).q_star
-                    - optimal_q(P, effective_lambda(params, T - s_t)).q_star
-                ) / (2 * s_t)
-                worst = max(worst, _rel_err(dq_dT, fd_T))
-    add("consumer", "derivatives_vs_finite_difference", worst <= 1e-6, f"max rel err {worst:.2e}")
+    @check("consumer")
+    def closed_form_vs_direct_min():
+        worst = 0.0
+        for P in (0.1, 0.35, 0.7, 1.0):
+            for lam in (0.2, 1.0, 4.0):
+                numeric = golden_max(lambda q: -monitoring_objective(q, P, lam), 1e-12, 1 - 1e-12, 1e-12)
+                worst = max(worst, abs(optimal_q(P, lam).q_star - numeric))
+        return worst <= 1e-8, f"max |dq| {worst:.2e}"
+    @check("consumer")
+    def entropy_strictly_convex():
+        qs = linear_grid(0.05, 0.95, 7)
+        convex = all(entropy(0.5 * (a + b)) < 0.5 * (entropy(a) + entropy(b)) - 1e-12
+                     for a in qs for b in qs if abs(a - b) > 1e-9)
+        return convex, "midpoint inequality on a grid"
+    @check("consumer")
+    def derivatives_vs_finite_difference():
+        worst = 0.0
+        hx = 1e-5  # step in lam * P units: keeps truncation and cancellation balanced
+        for T in (0.5, 2.0):
+            lam = effective_lambda(params, T)
+            # keep lam * P moderate: at saturation the central difference itself
+            # cancels catastrophically and stops being a usable oracle
+            for P in (min(0.6, 3.0 / lam), min(0.2, 1.0 / lam)):
+                dq_dP, dq_dlam, dq_dT = q_derivatives(P, params, T)
+                s_p, s_lam = hx / lam, hx / P
+                fd_P = (optimal_q(P + s_p, lam).q_star - optimal_q(P - s_p, lam).q_star) / (2 * s_p)
+                fd_lam = (optimal_q(P, lam + s_lam).q_star - optimal_q(P, lam - s_lam).q_star) / (2 * s_lam)
+                worst = max(worst, _rel_err(dq_dP, fd_P), _rel_err(dq_dlam, fd_lam))
+                if params.beta > 0:
+                    s_t = 1e-6
+                    fd_T = (
+                        optimal_q(P, effective_lambda(params, T + s_t)).q_star
+                        - optimal_q(P, effective_lambda(params, T - s_t)).q_star
+                    ) / (2 * s_t)
+                    worst = max(worst, _rel_err(dq_dT, fd_T))
+        return worst <= 1e-6, f"max rel err {worst:.2e}"
 
     # --- market ---
-    mid_p = 0.5 * (window.p_lo + window.p_hi)
-    contract = scenario.contract or Contract(T=1.0, P=mid_p)
-    out = profit(dist, params, contract)
-    ident = abs(out.profit - out.standard_revenue - out.inattentive_revenue)
-    add("market", "profit_decomposition", ident <= 1e-12, f"|err| {ident:.2e}")
+    contract = scenario.contract or Contract(T=1.0, P=0.5 * (window.p_lo + window.p_hi))
+    def dominance(boosted: AttentionParams, where: str) -> tuple[bool, str]:
+        """Utility up and inattentive revenue down at the fixed contract under a larger gamma."""
+        return (consumer_utility(dist, boosted, contract) >= consumer_utility(dist, params, contract) - 1e-12
+                and inattentive_revenue(dist, boosted, contract) <= inattentive_revenue(dist, params, contract) + 1e-12,
+                f"utility up, inattentive revenue down {where}")
+    @check("market")
+    def profit_decomposition():
+        out = profit(dist, params, contract)
+        ident = abs(out.profit - out.standard_revenue - out.inattentive_revenue)
+        return ident <= 1e-12, f"|err| {ident:.2e}"
     if params.beta > 0:
-        worst = 0.0
-        for T in (0.5, 2.0, 8.0):
-            c = Contract(T=T, P=contract.P)
-            q_base = profit(dist, params, c).q_star
-            h_t = 1e-5
-            fd = -(
-                consumer_utility(dist, params, Contract(T=T + h_t, P=c.P), q_override=q_base)
-                - consumer_utility(dist, params, Contract(T=T - h_t, P=c.P), q_override=q_base)
-            ) / (2 * h_t)
-            worst = max(worst, _rel_err(ir_slack(dist, params, c), fd))
-        add("market", "slack_envelope_identity", worst <= 1e-5, f"max rel err {worst:.2e}")
-    boosted = replace(params, gamma=params.gamma * 2.0)
-    add(
-        "market",
-        "attention_boost_statics",
-        consumer_utility(dist, boosted, contract) >= consumer_utility(dist, params, contract) - 1e-12
-        and inattentive_revenue(dist, boosted, contract)
-        <= inattentive_revenue(dist, params, contract) + 1e-12,
-        "utility up, inattentive revenue down at the fixed contract",
-    )
+        @check("market")
+        def slack_envelope_identity():
+            worst = 0.0
+            for T in (0.5, 2.0, 8.0):
+                c = Contract(T=T, P=contract.P)
+                q_base = profit(dist, params, c).q_star
+                h_t = 1e-5
+                fd = -(
+                    consumer_utility(dist, params, Contract(T=T + h_t, P=c.P), q_override=q_base)
+                    - consumer_utility(dist, params, Contract(T=T - h_t, P=c.P), q_override=q_base)
+                ) / (2 * h_t)
+                worst = max(worst, _rel_err(ir_slack(dist, params, c), fd))
+            return worst <= 1e-5, f"max rel err {worst:.2e}"
+    @check("market")
+    def attention_boost_statics():
+        return dominance(replace(params, gamma=params.gamma * 2.0), "at the fixed contract")
 
     # --- solver ---
-    worst = 0.0
-    step = 1e-6
-    for P in linear_grid(window.p_lo + 0.05, window.p_hi - 0.05, 4):
-        for T in (0.0, 3.0):
-            fd = (
-                profit(dist, params, Contract(T=T, P=P + step)).profit
-                - profit(dist, params, Contract(T=T, P=P - step)).profit
-            ) / (2 * step)
-            worst = max(worst, _rel_err(price_foc(dist, params, T, P), fd))
-    add("solver", "price_foc_is_profit_slope", worst <= 1e-5, f"max rel err {worst:.2e}")
-    ifr = check_ifr(dist, window)
-    if ifr.is_ifr:
+    @check("solver")
+    def price_foc_is_profit_slope():
+        worst = 0.0
+        step = 1e-6
+        for P in linear_grid(window.p_lo + 0.05, window.p_hi - 0.05, 4):
+            for T in (0.0, 3.0):
+                fd = (
+                    profit(dist, params, Contract(T=T, P=P + step)).profit
+                    - profit(dist, params, Contract(T=T, P=P - step)).profit
+                ) / (2 * step)
+                worst = max(worst, _rel_err(price_foc(dist, params, T, P), fd))
+        return worst <= 1e-5, f"max rel err {worst:.2e}"
+    @check("solver")
+    def unique_root_under_ifr():
+        if not check_ifr(dist, window).is_ifr:
+            return True, "skipped: hazard not increasing"
         # IFR: S - P f = S (1 - P h) crosses zero at most once; the inattentive margin may add crossings
         grid = window.grid(scenario.solver.bracket_grid + 1)
         vals = [dist.survivor(p) - p * dist.pdf(p) for p in grid]
         changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
-        add("solver", "unique_root_under_ifr", changes <= 1, f"{changes} sign changes")
-    else:
-        add("solver", "unique_root_under_ifr", True, "skipped: hazard not increasing")
+        return changes <= 1, f"{changes} sign changes"
 
     # --- policy ---
     shock = scenario.shock or DEFAULT_SHOCK
-    shocked = apply_shock(params, shock)
-    scale_err = max(
-        abs(effective_lambda(shocked, t) - shock.gamma * effective_lambda(params, t))
-        for t in (0.0, 1.0, 10.0, 100.0)
-    )
-    add("policy", "shock_scales_sensitivity_exactly", scale_err <= 1e-12, f"max |err| {scale_err:.2e}")
-    add(
-        "policy",
-        "shock_dominance_at_fixed_contract",
-        consumer_utility(dist, shocked, contract) >= consumer_utility(dist, params, contract) - 1e-12
-        and inattentive_revenue(dist, shocked, contract)
-        <= inattentive_revenue(dist, params, contract) + 1e-12,
-        "utility up, inattentive revenue down under the scenario shock",
-    )
+    @check("policy")
+    def shock_scales_sensitivity_exactly():
+        shocked = apply_shock(params, shock)
+        scale_err = max(abs(effective_lambda(shocked, t) - shock.gamma * effective_lambda(params, t))
+                        for t in (0.0, 1.0, 10.0, 100.0))
+        return scale_err <= 1e-12, f"max |err| {scale_err:.2e}"
+    @check("policy")
+    def shock_dominance_at_fixed_contract():
+        return dominance(apply_shock(params, shock), "under the scenario shock")
 
     # --- heterogeneity ---
     mixture = scenario.mixture or AttentionMixture.point_mass(params.lambda0)
-    one_atom = AttentionMixture.point_mass(effective_lambda(params, contract.T))
-    agree = abs(
-        aggregate_loss(dist, one_atom, contract) - inattentive_revenue(dist, params, contract)
-    )
-    add("heterogeneity", "point_mass_matches_market", agree <= 1e-14, f"|err| {agree:.2e}")
-    loss = aggregate_loss(dist, mixture, contract)
-    add(
-        "heterogeneity",
-        "loss_within_bounds",
-        0.0 <= loss <= contract.P * cancel_mass(dist, contract.P) + 1e-15,
-        f"loss {loss:.6g} vs cap {contract.P * cancel_mass(dist, contract.P):.6g}",
-    )
-    # Jensen consistency: a small spread must move the loss in the direction
-    # of the measured curvature of the failure probability at the mean.
-    mean_z = mixture.mean_z()
-    psi = lambda zz: 1.0 - optimal_q(contract.P, 1.0 / zz).q_star
-    hh = 0.05 * mean_z
-    fd2 = (psi(mean_z + hh) - 2 * psi(mean_z) + psi(mean_z - hh)) / hh**2
-    base, spread = mps_pair(mean_z, hh)
-    premium = aggregate_loss(dist, spread, contract) - aggregate_loss(dist, base, contract)
-    add(
-        "heterogeneity",
-        "spread_direction_matches_curvature",
-        premium * fd2 >= 0.0 or abs(premium) < 1e-12,
-        f"premium {premium:+.3e}, curvature {fd2:+.3e}",
-    )
+    @check("heterogeneity")
+    def point_mass_matches_market():
+        one_atom = AttentionMixture.point_mass(effective_lambda(params, contract.T))
+        agree = abs(aggregate_loss(dist, one_atom, contract) - inattentive_revenue(dist, params, contract))
+        return agree <= 1e-14, f"|err| {agree:.2e}"
+    @check("heterogeneity")
+    def loss_within_bounds():
+        loss = aggregate_loss(dist, mixture, contract)
+        cap = contract.P * cancel_mass(dist, contract.P)
+        return 0.0 <= loss <= cap + 1e-15, f"loss {loss:.6g} vs cap {cap:.6g}"
+    @check("heterogeneity")
+    def spread_direction_matches_curvature():
+        # Jensen consistency: a small spread must move the loss in the direction
+        # of the measured curvature of the failure probability at the mean.
+        mean_z = mixture.mean_z()
+        psi = lambda zz: 1.0 - optimal_q(contract.P, 1.0 / zz).q_star
+        hh = 0.05 * mean_z
+        fd2 = (psi(mean_z + hh) - 2 * psi(mean_z) + psi(mean_z - hh)) / hh**2
+        base, spread = mps_pair(mean_z, hh)
+        premium = aggregate_loss(dist, spread, contract) - aggregate_loss(dist, base, contract)
+        return premium * fd2 >= 0.0 or abs(premium) < 1e-12, f"premium {premium:+.3e}, curvature {fd2:+.3e}"
 
     # --- paid trial ---
     if scenario.signup is not None:
-        model = scenario.signup
-        aug = 0.3
+        model, aug = scenario.signup, 0.3
         p0, corner = optimal_intro_price(model, aug)
-        if corner == "interior" and signup_rate(model, p0) < model.cap:
+        @check("paid")
+        def closed_form_solves_foc():
+            if corner != "interior" or signup_rate(model, p0) >= model.cap:
+                return True, "skipped: corner or capped"
             resid = intro_price_foc(model, p0, aug)
-            add("paid", "closed_form_solves_foc", abs(resid) <= 1e-9, f"|residual| {abs(resid):.2e}")
-        else:
-            add("paid", "closed_form_solves_foc", True, "skipped: corner or capped")
-        c = Contract(T=contract.T, P=contract.P, P0=max(p0, model.cap_edge() * 1.5, 0.05))
-        if signup_rate(model, c.P0) < model.cap:
-            h0 = 1e-6
-            fd = (
-                profit_paid(dist, params, model, Contract(T=c.T, P=c.P, P0=c.P0 + h0)).profit
-                - profit_paid(dist, params, model, Contract(T=c.T, P=c.P, P0=c.P0 - h0)).profit
-            ) / (2 * h0)
-            resid = intro_price_foc(model, c.P0, profit_paid(dist, params, model, c).p_aug)
-            err = abs(resid - fd) / max(abs(fd), 1e-9)
-            add("paid", "intro_foc_is_profit_slope", err <= 1e-5, f"rel err {err:.2e}")
+            return abs(resid) <= 1e-9, f"|residual| {abs(resid):.2e}"
+        P0 = max(p0, model.cap_edge() * 1.5, 0.05)
+        if signup_rate(model, P0) < model.cap:
+            @check("paid")
+            def intro_foc_is_profit_slope():
+                c = Contract(T=contract.T, P=contract.P, P0=P0)
+                h0 = 1e-6
+                fd = (
+                    profit_paid(dist, params, model, Contract(T=c.T, P=c.P, P0=c.P0 + h0)).profit
+                    - profit_paid(dist, params, model, Contract(T=c.T, P=c.P, P0=c.P0 - h0)).profit
+                ) / (2 * h0)
+                resid = intro_price_foc(model, c.P0, profit_paid(dist, params, model, c).p_aug)
+                err = abs(resid - fd) / max(abs(fd), 1e-9)
+                return err <= 1e-5, f"rel err {err:.2e}"
 
     return checks
 

@@ -226,6 +226,7 @@ class TestCliSolve:
             ("policy", "interior_uniform", lambda r: r["shock"].update(gamma=float("nan"))),
             ("paid", "paid_trial", lambda r: r["signup"].update(alpha=float("nan"))),
             ("paid", "paid_trial", lambda r: r["signup"].update(theta=float("inf"))),
+            ("paid", "paid_trial", lambda r: r["signup"].update(alpha=1e308)),
             ("hetero", "hetero_spread", lambda r: r["mixture"]["atoms"][0].__setitem__(0, float("nan"))),
             (
                 "sweep", "baseline_uniform",
@@ -238,9 +239,9 @@ class TestCliSolve:
             ("solve", "baseline_uniform", lambda r: r.update(name=5)),
             ("solve", "baseline_uniform", lambda r: r.update(distribution=[["family", "uniform"]])),
         ],
-        ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "mixture-atom-nan", "sweep-grid-nan",
-             "solver-not-an-object", "mixture-atom-true", "sweep-grid-true", "shock-label-number", "name-number",
-             "distribution-not-an-object"],
+        ids=["shock-gamma-nan", "signup-alpha-nan", "signup-theta-inf", "signup-cap-edge-overflows", "mixture-atom-nan",
+             "sweep-grid-nan", "solver-not-an-object", "mixture-atom-true", "sweep-grid-true", "shock-label-number",
+             "name-number", "distribution-not-an-object"],
     )
     def test_non_finite_optional_blocks_exit_1(self, tmp_path, capsys, command, name, edit):
         record = json.loads((SCENARIOS / f"{name}.json").read_text())
@@ -404,6 +405,33 @@ class TestCliVerify:
         assert rows["hazard_times_survivor"]["status"] == "pass"
         assert rows["cdf_pdf_consistency"]["status"] == "pass"  # the survivor differences keep precision
         assert rows["lambda_crit_window_monotone"]["detail"] == "skipped: hazard unbounded on the window"
+
+    def test_decay_past_the_float_range_skips_the_checks_it_breaks(self, tmp_path, capsys):
+        """With beta = 1e308, lam(T) underflows to 0 for T >= 2 and (1 + beta T)^2 overflows at T = 0.5:
+        the checks that meet either report a skip, and every row is written."""
+        record = json.loads((SCENARIOS / "interior_uniform.json").read_text())
+        record["attention"]["beta"] = 1e308
+        path, out = tmp_path / "extreme.json", tmp_path / "verify.csv"
+        path.write_text(json.dumps(record))
+        assert main(["verify", "--scenario", str(path), "--out", str(out)]) in (0, 1, 3)
+        assert "error" not in capsys.readouterr().err
+        rows = {r["check"]: r for r in read_rows(out)}
+        golden = read_rows(SCENARIOS.parent / "tests" / "golden" / "verify.interior_uniform.csv")
+        assert list(rows) == [r["check"] for r in golden]
+        assert rows["derivatives_vs_finite_difference"]["detail"].startswith("skipped: OverflowError")
+        assert rows["profit_decomposition"]["detail"] == (
+            "skipped: DomainError: effective sensitivity underflows to 0 at T = 4.0")
+        assert rows["loss_within_bounds"]["detail"].startswith("loss ")
+
+    def test_infinite_starting_sensitivity_is_a_scenario_error(self, tmp_path, capsys):
+        """gamma * lambda0 = lam(0) overflows to inf, where h(x) / lam would be 0 * inf."""
+        record = json.loads((SCENARIOS / "interior_uniform.json").read_text())
+        record["attention"]["gamma"] = 1e308
+        path, out = tmp_path / "extreme.json", tmp_path / "verify.csv"
+        path.write_text(json.dumps(record))
+        assert main(["verify", "--scenario", str(path), "--out", str(out)]) in (0, 1, 3)
+        assert capsys.readouterr().err.startswith("scenario error:")
+        assert not out.exists()
 
     def test_ifr_row_passes_where_the_inattentive_margin_adds_roots(self, tmp_path, capsys):
         """The whole price condition crosses zero 3 times on this valid input; the standard margin once."""
