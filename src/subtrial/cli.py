@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import scenario as scenario_mod
@@ -78,7 +77,7 @@ def _sweep_point(sc: Scenario, value: float):
     """The swept scenario's base contract, or its joint optimum without one, and its outcome."""
     from .market import profit
     block = SWEEP_PARAMS[sc.sweep.param]
-    sc = replace(sc, **{block: replace(getattr(sc, block), **{sc.sweep.param: value})})
+    sc = sc._replace(**{block: getattr(sc, block)._replace(**{sc.sweep.param: value})})
     contract = sc.contract or joint_optimum(sc.distribution, sc.attention, sc.solver).contract
     return contract, profit(sc.distribution, sc.attention, contract)
 
@@ -209,7 +208,7 @@ def _run(args: argparse.Namespace) -> int:
     try:
         sc = scenario_mod.load(args.scenario)
         if args.mode:
-            sc = replace(sc, solver=replace(sc.solver, participation_mode=args.mode))
+            sc = sc._replace(solver=sc.solver._replace(participation_mode=args.mode))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -23,15 +23,13 @@ uniform policy boost to attention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .distributions import _NUMPY, _SCALAR
+from .distributions import _NUMPY, _SCALAR, Record
 from .exceptions import DomainError
 
 
-@dataclass(frozen=True)
-class AttentionParams:
+class AttentionParams(Record):
     """Baseline sensitivity, decay rate and policy multiplier."""
 
     lambda0: float

@@ -20,13 +20,16 @@ Grids come in two kinds, one per scan route.  Library calls build numpy arrays
 and scan each in one array call; the CLI builds float tuples and scans them
 point by point through the scalar code, so that a command loads no numpy.  The
 grid builders here are the one place the route is chosen.
+
+``Record``, the frozen base of every input record (the families here among
+them), lives here too, beside ``from_fields``, which builds one from a
+scenario block.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import DomainError, SingularityError, UnboundedError
@@ -128,8 +131,106 @@ def _check_each(v, check) -> None:
     check(v)
 
 
-@dataclass(frozen=True)
-class PriceWindow:
+def number(value: object) -> float:
+    """A JSON number as a float: an int or a float, but not a bool, a string or an int beyond the float range."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("an integer beyond the float range") from None
+
+
+def _field(kind: str, value: object) -> object:
+    """A scenario value for a field declared ``kind``; a field neither float nor str is its record's to check."""
+    if kind == "str" and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return number(value) if kind == "float" else value
+
+
+def from_fields(cls, record: dict):
+    """A record built from a scenario block, each field the block holds read by its declared type
+    (``_field``); a missing field takes its default, or raises TypeError without one."""
+    if not isinstance(record, dict):
+        raise TypeError(f"the {cls.__name__} block must be a JSON object, got {record!r}")
+    return cls(**{name: _field(kind, record[name]) for name, kind in cls._types.items() if name in record})
+
+
+_setattr = object.__setattr__  # binds a record's field past its own __setattr__, which refuses
+
+
+class Record:
+    """A frozen record with the named tuple's protocol: the base of the input records.
+
+    Its fields are the class's annotations, after those of a record base class, each with its
+    class-level default if it has one; ``_types`` maps each field to its annotation's text.  The
+    one ``__init__`` binds the fields and runs the class's ``__post_init__`` check.  As a frozen
+    dataclass does, a record compares and hashes by class and field values, shows as
+    ``Name(field=value, ...)`` and refuses assignment; ``_fields``, ``_asdict`` (shallow) and
+    ``_replace`` (which checks again) are the named tuple's."""
+
+    _fields: tuple[str, ...] = ()
+    _types: dict[str, str] = {}
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._types = {**cls._types, **own}
+        cls._fields = tuple(cls._types)
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Bind each field to its positional value, then to its keyword value or default.  One
+        setattr per field: reading self.__dict__ would build a dict for the instance, which
+        slows every later attribute read."""
+        names, n = self._fields, len(args)
+        if n > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments but {n} were given")
+        for field, value in zip(names, args):
+            _setattr(self, field, value)
+        if n < len(names):
+            defaults = self._defaults
+            try:
+                for field in names[n:]:
+                    _setattr(self, field, kwargs.pop(field) if field in kwargs else defaults[field])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing required argument {exc.args[0]!r}") from None
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        """The field values in order, built when asked: a tuple kept per record would cost memory."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class PriceWindow(Record):
     """Open price interval (p_lo, p_hi) on which pricing results are evaluated."""
 
     p_lo: float
@@ -181,7 +282,7 @@ class ValuationDistribution:
 
     def to_spec(self) -> dict:
         """The tagged record of scenario files: the family's tag, then its fields."""
-        return {"family": self.family, **asdict(self)}
+        return {"family": self.family, **self._asdict()}
 
     @staticmethod
     def _check_closed(v: float) -> None:
@@ -202,8 +303,7 @@ class ValuationDistribution:
             _check_each(v, cls._check_open)
 
 
-@dataclass(frozen=True)
-class Uniform(ValuationDistribution):
+class Uniform(ValuationDistribution, Record):
     """Uniform valuations on [a, b] with 0 <= a < b <= 1."""
 
     family = "uniform"
@@ -243,8 +343,7 @@ class Uniform(ValuationDistribution):
         return ((self.b - P) ** 2 - (lo - P) ** 2) / (2.0 * (self.b - self.a)) if lo < self.b else 0.0
 
 
-@dataclass(frozen=True)
-class PiecewiseIsoElastic(ValuationDistribution):
+class PiecewiseIsoElastic(ValuationDistribution, Record):
     """Linear CDF head on [0, v0], survivor kappa * v**(-eps) on [v0, 1], atom at 1."""
 
     family = "iso_elastic"
@@ -313,8 +412,7 @@ class PiecewiseIsoElastic(ValuationDistribution):
         return self.kappa * -math.expm1((1.0 - self.eps) * math.log(m)) / (1.0 - self.eps) + head
 
 
-@dataclass(frozen=True)
-class TruncatedWeibull(ValuationDistribution):
+class TruncatedWeibull(ValuationDistribution, Record):
     """Weibull(shape k >= 1, scale s > 0) right-truncated to [0, 1]."""
 
     family = "trunc_weibull"
@@ -367,31 +465,6 @@ class TruncatedWeibull(ValuationDistribution):
 
 
 _FAMILIES = {cls.family: cls for cls in (Uniform, PiecewiseIsoElastic, TruncatedWeibull)}
-
-
-def number(value: object) -> float:
-    """A JSON number as a float: an int or a float, but not a bool, a string or an int beyond the float range."""
-    if type(value) is bool or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("an integer beyond the float range") from None
-
-
-def _field(kind: str, value: object) -> object:
-    """A scenario value for a field declared ``kind``; a field neither float nor str is its record's to check."""
-    if kind == "str" and not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return number(value) if kind == "float" else value
-
-
-def from_fields(cls, record: dict):
-    """A record built from a scenario block, each field the block holds read by its declared type
-    (``_field``); a missing field takes its default, or raises TypeError without one."""
-    if not isinstance(record, dict):
-        raise TypeError(f"the {cls.__name__} block must be a JSON object, got {record!r}")
-    return cls(**{f.name: _field(f.type, record[f.name]) for f in fields(cls) if f.name in record})
 
 
 def from_spec(spec: dict) -> ValuationDistribution:

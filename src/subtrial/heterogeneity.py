@@ -14,18 +14,16 @@ not covered by this curvature result and is deliberately not offered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .consumer import trial_terms
-from .distributions import ValuationDistribution
+from .distributions import Record, ValuationDistribution
 from .exceptions import DomainError
 from .market import Contract, cancel_mass
 
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AttentionMixture:
+class AttentionMixture(Record):
     """Discrete distribution over attention sensitivities."""
 
     atoms: tuple[tuple[float, float], ...]  # (lambda_i, weight_i)

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .consumer import AttentionParams, cost_slope, effective_lambda, entropy, trial_terms
-from .distributions import ValuationDistribution
+from .distributions import Record, ValuationDistribution
 from .exceptions import DomainError
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record):
     """Trial length, renewal price and (optional) introductory price."""
 
     T: float

@@ -26,18 +26,16 @@ the cross-checks in the test suite pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .consumer import AttentionParams, effective_lambda, q_derivatives
-from .distributions import ValuationDistribution
+from .distributions import Record, ValuationDistribution
 from .exceptions import CappedBranchError, DomainError
 from .market import Contract, cancel_mass, revenue
 from .solver import SolverConfig, joint_optimum
 
 
-@dataclass(frozen=True)
-class SignupModel:
+class SignupModel(Record):
     alpha: float
     theta: float
     cap: float = 1.0
@@ -172,7 +170,7 @@ def joint_paid_optimum(
     taken.
     """
     config = config or SolverConfig()
-    free = joint_optimum(dist, params, replace(config, participation_mode="report_only"))
+    free = joint_optimum(dist, params, config._replace(participation_mode="report_only"))
     P0, corner = optimal_intro_price(model, free.outcome.profit)
     capped = False
     if corner == "interior" and P0 > 0.0 and signup_rate(model, P0) >= model.cap:
@@ -181,4 +179,4 @@ def joint_paid_optimum(
         P0 = model.cap_edge()
         capped = True
     # profit_paid labels the corner from the contract: P0 = 0, else T = 0 (t_zero)
-    return profit_paid(dist, params, model, replace(free.contract, P0=P0))._replace(capped=capped)
+    return profit_paid(dist, params, model, free.contract._replace(P0=P0))._replace(capped=capped)

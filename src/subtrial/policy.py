@@ -18,11 +18,10 @@ behave as expected: a boost raises utility and lowers inattentive revenue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .consumer import AttentionParams
-from .distributions import PiecewiseIsoElastic, ValuationDistribution, argmax, window_max
+from .distributions import PiecewiseIsoElastic, Record, ValuationDistribution, argmax, window_max
 from .exceptions import DomainError
 from .market import Contract, MarketOutcome, standard_revenue, surplus_integral
 from .solver import P_AT_WINDOW_EDGE, T_AT_ZERO, OptimalContract, SolverConfig, joint_optimum
@@ -31,8 +30,7 @@ GAMMA_FD_STEP = 0.1
 BETA_NOISE_TOL = 1e-9  # profit margin a beta-curve maximum needs over both ends to count as interior
 
 
-@dataclass(frozen=True)
-class PolicyShock:
+class PolicyShock(Record):
     gamma: float
     label: str = ""
 
@@ -56,7 +54,7 @@ class ComparativeStaticsReport(NamedTuple):
 
 def apply_shock(params: AttentionParams, shock: PolicyShock) -> AttentionParams:
     """Scale the policy multiplier; effective sensitivity scales by shock.gamma at every T."""
-    return replace(params, gamma=params.gamma * shock.gamma)
+    return params._replace(gamma=params.gamma * shock.gamma)
 
 
 def click_to_cancel_statics(
@@ -76,7 +74,7 @@ def click_to_cancel_statics(
     baseline = joint_optimum(dist, params, config)
     shocked = joint_optimum(dist, apply_shock(params, shock), config)
     bumped = joint_optimum(
-        dist, replace(params, gamma=params.gamma + GAMMA_FD_STEP), config
+        dist, params._replace(gamma=params.gamma + GAMMA_FD_STEP), config
     )
     dT = (bumped.contract.T - baseline.contract.T) / GAMMA_FD_STEP
     dP = (bumped.contract.P - baseline.contract.P) / GAMMA_FD_STEP
@@ -132,7 +130,7 @@ def beta_profit_curve(
     config = config or SolverConfig()
     points = []
     for b in grid:
-        opt = joint_optimum(dist, replace(params_base, beta=b), config)
+        opt = joint_optimum(dist, params_base._replace(beta=b), config)
         points.append(BetaCurvePoint(b, opt.outcome.profit, T_star=opt.contract.T, P_star=opt.contract.P))
     profits = [p.profit for p in points]
     i = argmax(profits)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .consumer import AttentionParams
-from .distributions import PriceWindow, ValuationDistribution, from_fields, from_spec, number
+from .distributions import PriceWindow, Record, ValuationDistribution, from_fields, from_spec, number
 from .exceptions import ScenarioError, SubtrialError
 from .market import Contract
 from .solver import SolverConfig
@@ -31,14 +30,12 @@ SWEEP_PARAMS = {"T": "contract", "P": "contract", "lambda0": "attention", "beta"
 _RECORDS = {"attention": AttentionParams, "solver": SolverConfig, "contract": Contract}
 
 
-@dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(Record):
     param: str
     grid: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     distribution: ValuationDistribution
     attention: AttentionParams  # this field and every one after it is a record block
@@ -53,10 +50,10 @@ class Scenario:
         """The scenario as a JSON record: each block is its record's fields, except that ``solver``
         leaves out its window, a block of its own, and ``max_iter``, which scenarios do not set."""
         record = {"name": self.name, "distribution": self.distribution.to_spec(),
-                  "price_window": asdict(self.solver.price_window)}
-        for f in fields(self)[2:]:
-            if getattr(self, f.name) is not None:
-                record[f.name] = asdict(getattr(self, f.name))
+                  "price_window": self.solver.price_window._asdict()}
+        for name in self._fields[2:]:
+            if getattr(self, name) is not None:
+                record[name] = getattr(self, name)._asdict()
         del record["solver"]["price_window"], record["solver"]["max_iter"]
         return record
 
@@ -90,7 +87,7 @@ def _check_sweep(sweep: SweepAxis, blocks: dict) -> SweepAxis:
     if swept is None:
         raise ScenarioError(f"sweep over {sweep.param!r} needs a base contract block")
     for g in sweep.grid:  # each swept record once, so an out-of-domain value is a scenario error
-        replace(swept, **{sweep.param: g})
+        swept._replace(**{sweep.param: g})
     return sweep
 
 

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .consumer import AttentionParams, cost_slope, effective_lambda, locus_price, trial_length, trial_terms
-from .distributions import (_NUMPY, _SCALAR, PriceWindow, ValuationDistribution, argmax_bracket, geometric_grid,
-                            golden_max, lambda_crit, scan)
+from .distributions import (_NUMPY, _SCALAR, PriceWindow, Record, ValuationDistribution, argmax_bracket,
+                            geometric_grid, golden_max, lambda_crit, scan)
 from .exceptions import (ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError,
                          UnboundedError)
 from .market import Contract, MarketOutcome, cancel_mass, profit, revenue, utility_in_x
@@ -61,11 +60,13 @@ RIDDER_RTOL = 4.0 * sys.float_info.epsilon  # relative part of the polish's brac
 # jump.  A polish there lands within ~2e-10 of the kink, so it could only pass the root_tol
 # residual test where the condition's slope beside the kink exceeds ~5e4.
 JUMP_MARGIN = 1e5
+# Each scan holds bracket_grid + 1 points, ~0.3 kB each in a solve's tables: at this bound a CLI
+# solve takes ~0.5 s and ~36 MB, and 10**8 would need tens of GB.
+MAX_BRACKET_GRID = 2**16
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    price_window: PriceWindow = field(default_factory=lambda: PriceWindow(0.05, 0.95))
+class SolverConfig(Record):
+    price_window: PriceWindow = PriceWindow(0.05, 0.95)
     t_max: float = 365.0
     bracket_grid: int = 256
     root_tol: float = 1e-10
@@ -80,6 +81,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive and finite")
         if not all(type(n) is int and n >= 1 for n in (self.bracket_grid, self.max_iter)):
             raise ValueError(f"bracket_grid and max_iter must be integers of at least 1 in {self}")
+        if self.bracket_grid > MAX_BRACKET_GRID:
+            raise ValueError(f"bracket_grid must be at most {MAX_BRACKET_GRID}, got {self.bracket_grid}")
         if self.participation_mode not in PARTICIPATION_MODES:
             raise ValueError(f"unknown participation mode {self.participation_mode!r}")
 
@@ -397,7 +400,7 @@ def joint_optimum(
 
 
 def _assemble(dist, params, T, P, flags, at_edge) -> OptimalContract:
-    contract = Contract(T=float(T), P=float(P))
+    contract = Contract(float(T), float(P), 0.0)  # a free trial, bound positionally: the cheapest record call
     T, P = contract.T, contract.P
     outcome = profit(dist, params, contract)
     if at_edge:

@@ -19,7 +19,6 @@ mode, outcome, T and P in hex, sorted flags, or the exception type), which
 file.
 """
 
-import dataclasses
 import hashlib
 import sys
 from collections import Counter
@@ -38,7 +37,7 @@ def solves(seed: int):
     """(index, mode, contract or exception) of every decision of the seed, in order."""
     for i, draw in enumerate(workloads.Reoptimize().build(seed)):
         for mode in ("report_only", "binding_ir") if i % 4 == 0 else ("report_only",):
-            config = dataclasses.replace(draw.config, participation_mode=mode)
+            config = draw.config._replace(participation_mode=mode)
             try:
                 yield i, mode, joint_optimum(draw.dist, draw.params, config)
             except Exception as exc:  # every failure is a decision to record, not to stop on

@@ -1,7 +1,5 @@
 """Market aggregates: revenue split, utility, and the trial-harm envelope."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -104,11 +102,12 @@ class TestProfit:
         assert out.standard_revenue == 0.5 * TruncatedWeibull(2.0, 0.5).survivor(0.5)
 
 
-@dataclass(frozen=True)
 class CountingWeibull(TruncatedWeibull):
     """A TruncatedWeibull that records the valuations its survivor is called at."""
 
-    survivor_calls: list = field(default_factory=list)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "survivor_calls", [])
 
     def survivor(self, v):
         self.survivor_calls.append(v)

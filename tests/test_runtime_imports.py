@@ -1,8 +1,9 @@
 """The runtime needs numpy for library scans only: importing the package and its CLI loads
 no scipy and no numpy, and a CLI command on a bundled scenario runs without numpy.  The one
 exception is a truncated Weibull's surplus, a numpy dot product: a command that reads it,
-such as a Weibull solve, loads numpy.  A command imports the experiment modules it runs, and
-a scenario's parse those its optional blocks need.  Modules share helpers by public name only."""
+such as a Weibull solve, loads numpy.  No module imports ``dataclasses``, and no command loads
+it or ``inspect``.  A command imports the experiment modules it runs, and a scenario's parse
+those its optional blocks need.  Modules share helpers by public name only."""
 
 import ast
 import json
@@ -25,16 +26,16 @@ def run_python(code: str) -> list[str]:
     return run.stdout.splitlines()
 
 
-def cli_calls_loading_numpy(calls: list[list[str]], out: Path) -> list[str]:
+def cli_calls_loading(calls: list[list[str]], out: Path, modules: tuple[str, ...] = ("numpy",)) -> list[str]:
     """Run the CLI argument lists in turn in one fresh interpreter; for each, the line
-    ``<exit code> <whether numpy is loaded after it>``."""
+    ``<exit code> <the list of those modules loaded after it>``."""
     code = (
         "import contextlib, io, sys\n"
         "from subtrial.cli import main\n"
         f"for argv in {calls!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"        exit_code = main([*argv, '--out', {str(out)!r}])\n"
-        "    print(exit_code, 'numpy' in sys.modules)\n"
+        f"    print(exit_code, [m for m in {modules!r} if m in sys.modules])\n"
     )
     return run_python(code)
 
@@ -43,7 +44,7 @@ def test_cli_solve_and_verify_load_no_numpy(tmp_path):
     calls = [[command, "--scenario", str(path)]
              for path in sorted((ROOT / "scenarios").glob("*.json")) for command in ("solve", "verify")]
     assert len(calls) == 14
-    assert cli_calls_loading_numpy(calls, tmp_path / "out.csv") == ["0 False"] * len(calls)
+    assert cli_calls_loading(calls, tmp_path / "out.csv") == ["0 []"] * len(calls)
 
 
 def test_a_weibull_solve_loads_numpy_for_its_surplus(tmp_path):
@@ -51,7 +52,29 @@ def test_a_weibull_solve_loads_numpy_for_its_surplus(tmp_path):
     record["distribution"] = {"family": "trunc_weibull", "k": 2.0, "s": 0.5}
     scenario = tmp_path / "weibull.json"
     scenario.write_text(json.dumps(record))
-    assert cli_calls_loading_numpy([["solve", "--scenario", str(scenario)]], tmp_path / "out.csv") == ["0 True"]
+    assert cli_calls_loading([["solve", "--scenario", str(scenario)]], tmp_path / "out.csv") == ["0 ['numpy']"]
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # a command that needs a block its scenario lacks exits 1 after the same parse and imports
+    commands = ("solve", "sweep", "policy", "paid", "hetero", "verify")
+    calls = [[command, "--scenario", str(path)]
+             for path in sorted((ROOT / "scenarios").glob("*.json")) for command in commands]
+    assert len(calls) == 42
+    lines = cli_calls_loading(calls, tmp_path / "out.csv", ("dataclasses", "inspect"))
+    assert [line.split(" ", 1)[1] for line in lines] == ["[]"] * len(calls)
+    assert {line.split(" ", 1)[0] for line in lines} == {"0", "1"}
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((SRC / "subtrial").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append(f"{path.name}: from {node.module}")
+    assert found == []
 
 
 def test_a_solve_loads_no_experiment_module(tmp_path):

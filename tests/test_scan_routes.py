@@ -12,7 +12,6 @@ equal, and the bundled CLI pairs write the same bytes on both routes.
 """
 
 import contextlib
-import dataclasses
 import math
 import random
 
@@ -58,7 +57,7 @@ def same_bits(array, plain) -> bool:
 
 def decision(draw, mode: str) -> dict:
     """Everything a solve returns, floats in hex or repr, or its exception type and message."""
-    config = dataclasses.replace(draw.config, participation_mode=mode)
+    config = draw.config._replace(participation_mode=mode)
     try:
         opt = joint_optimum(draw.dist, draw.params, config)
     except Exception as exc:  # a failure is a decision too

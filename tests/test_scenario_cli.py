@@ -1,6 +1,5 @@
 """Scenario files and the command-line runner: round-trips, CSV, exit codes."""
 
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from subtrial import cli, scenario as scenario_mod, verify
 from subtrial.cli import main
 from subtrial.consumer import AttentionParams
-from subtrial.distributions import IfrReport
+from subtrial.distributions import IfrReport, PriceWindow
 from subtrial.market import Contract
 from subtrial.paid import SignupModel
 from subtrial.exceptions import ScenarioError
@@ -220,6 +219,20 @@ class TestCliSolve:
         assert "scenario error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "policy", "paid", "verify"])
+    @pytest.mark.parametrize("raw", ["65537", "100000000", "1" + "0" * 30])
+    def test_bracket_grid_above_the_bound_exits_1_before_any_grid(self, tmp_path, capsys, monkeypatch, command, raw):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(PriceWindow, "grid", no_grid)
+        text = (SCENARIOS / "paid_trial.json").read_text()
+        path, out = tmp_path / "huge.json", tmp_path / "x.csv"
+        path.write_text(text.replace('"bracket_grid": 256,', f'"bracket_grid": {raw},'))
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        message = "scenario error: invalid scenario: bracket_grid must be at most 65536"
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,name,edit",
         [
@@ -325,7 +338,7 @@ class TestCliSweep:
         rows = read_rows(out)
         assert len(rows) == 3
         for row, lambda0 in zip(rows, sc.sweep.grid):
-            opt = joint_optimum(sc.distribution, dataclasses.replace(sc.attention, lambda0=lambda0), sc.solver)
+            opt = joint_optimum(sc.distribution, sc.attention._replace(lambda0=lambda0), sc.solver)
             want = {"T": opt.contract.T, "P": opt.contract.P, "profit": opt.outcome.profit}
             assert {key: row[key] for key in want} == {key: cli._fmt(v) for key, v in want.items()}
 
@@ -422,6 +435,22 @@ class TestCliVerify:
         assert rows["profit_decomposition"]["detail"] == (
             "skipped: DomainError: effective sensitivity underflows to 0 at T = 4.0")
         assert rows["loss_within_bounds"]["detail"].startswith("loss ")
+
+    @pytest.mark.parametrize("name", ["interior_uniform", "baseline_uniform", "iso_elastic_curve", "monopoly_limit"])
+    def test_tiny_sensitivity_clips_the_difference_steps(self, tmp_path, capsys, name):
+        """At lambda0 = 1e-8 the unclipped steps hx / lam and hx / P leave the domain.  Clipped, the
+        derivatives in P and lam pass the check; the one in T, where beta > 0, changes q* by under
+        1e-9, which the row names instead of comparing."""
+        record = json.loads((SCENARIOS / f"{name}.json").read_text())
+        record["attention"]["lambda0"] = 1e-8
+        path, out = tmp_path / "tiny.json", tmp_path / "verify.csv"
+        path.write_text(json.dumps(record))
+        assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        row = next(r for r in read_rows(out) if r["check"] == "derivatives_vs_finite_difference")
+        err, _, note = row["detail"].removeprefix("max rel err ").partition(";")
+        assert row["status"] == "pass" and float(err) <= 1e-6
+        assert note == (" dq/dT unresolved: the T difference is below 1e-09" if record["attention"]["beta"] > 0 else "")
 
     def test_infinite_starting_sensitivity_is_a_scenario_error(self, tmp_path, capsys):
         """gamma * lambda0 = lam(0) overflows to inf, where h(x) / lam would be 0 * inf."""

@@ -12,6 +12,7 @@ from subtrial.distributions import PiecewiseIsoElastic, PriceWindow, TruncatedWe
 from subtrial.exceptions import ConvergenceError, MonotonicityError, NoRootError, SingularityError, TrialBoundError
 from subtrial.market import Contract, consumer_utility, inattentive_revenue, profit
 from subtrial.solver import (
+    MAX_BRACKET_GRID,
     P_AT_WINDOW_EDGE,
     SolverConfig,
     T_AT_MAX,
@@ -452,6 +453,12 @@ class TestSolverConfig:
     def test_rejects_degenerate_settings(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("n", [MAX_BRACKET_GRID + 1, 10**8, 10**30])
+    def test_rejects_a_grid_above_the_bound(self, n):
+        with pytest.raises(ValueError, match=f"bracket_grid must be at most {MAX_BRACKET_GRID}, got {n}"):
+            SolverConfig(bracket_grid=n)
+        assert SolverConfig(bracket_grid=MAX_BRACKET_GRID).bracket_grid == 2**16
 
     def test_polish_budget_exhaustion_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError):
