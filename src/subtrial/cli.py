@@ -11,8 +11,8 @@ verify  cross-module invariant checks (nonzero exit on violation)
 
 Every float is printed with 12 significant digits and rows are buffered and
 written in grid order, so identical inputs produce byte-identical files.
-A command scans plain float grids, so it loads no numpy unless a truncated
-Weibull's surplus needs its dot product.
+A command scans plain float grids and evaluates every family's surplus in
+closed form, so it loads no numpy.
 Exit codes: 0 success, 1 scenario validation failure or an unwritable ``--out``,
 2 solver failure, 3 invariant violation from ``verify``.
 """

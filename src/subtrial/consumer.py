@@ -121,15 +121,21 @@ def locus_price(x):
     """The zero-locus price pi(x) = h(x) / (x^2 q* sigma(-x)) at x = lam * P >= 0, with e^-x
     divided out of h / sigma(-x) (the ratio log1p(e^-x) / e^-x is 1 where e^-x underflows):
     finite until x^2 underflows (+inf after), falling strictly from +inf to 0, with
-    1/x < pi(x) < (3 + x)/x^2.  x may be an array."""
+    1/x < pi(x) < (3 + x)/x^2.  Where x^2 overflows, (1 + x)/x^2 rounds to 1/x, which is
+    returned.  x may be an array."""
     xp = math if isinstance(x, _SCALAR) else _NUMPY
     e = xp.exp(-x)
     log_term = xp.log1p(e)
     if xp is math:
+        square = x * x
+        if square == math.inf:
+            return 1.0 / x
         log_ratio = log_term / e if e > 0.0 else 1.0
-        return (1.0 + e) * (log_ratio + x + log_term) / (x * x) if x * x > 0.0 else math.inf
+        return (1.0 + e) * (log_ratio + x + log_term) / square if square > 0.0 else math.inf
     with _NUMPY.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the limits per element
-        return (1.0 + e) * (_NUMPY.where(e > 0.0, log_term / e, 1.0) + x + log_term) / (x * x)
+        square = x * x
+        pi = (1.0 + e) * (_NUMPY.where(e > 0.0, log_term / e, 1.0) + x + log_term) / square
+        return _NUMPY.where(square == math.inf, 1.0 / x, pi)
 
 
 def q_derivatives(P: float, params: AttentionParams, T: float) -> tuple[float, float, float]:

@@ -199,9 +199,13 @@ def _ridder(f, lo: float, hi: float, xtol: float, max_iter: int) -> tuple[float,
         dm = 0.5 * (xb - xa)
         xm = xa + dm
         fm = f(xm)
-        dn = (1.0 if fb - fa > 0.0 else -1.0) * fm * dm / math.sqrt(fm * fm - fa * fb)
-        xn = xm - (1.0 if dn > 0.0 else -1.0) * min(abs(dn), abs(dm) - 0.5 * tol)
-        fn = f(xn)
+        radicand = fm * fm - fa * fb
+        if radicand > 0.0:
+            dn = (1.0 if fb - fa > 0.0 else -1.0) * fm * dm / math.sqrt(radicand)
+            xn = xm - (1.0 if dn > 0.0 else -1.0) * min(abs(dn), abs(dm) - 0.5 * tol)
+            fn = f(xn)
+        else:  # fm^2 and fa fb underflowed, as values of the order of a tiny bracket can: bisect
+            xn, fn = xm, fm
         if math.copysign(1.0, fn) != math.copysign(1.0, fm):
             xa, fa, xb, fb = xn, fn, xm, fm
         elif math.copysign(1.0, fn) != math.copysign(1.0, fa):

@@ -8,12 +8,12 @@ means numerical breakage, not a modeling disagreement.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from typing import NamedTuple
 
 from .consumer import AttentionParams, effective_lambda, entropy, monitoring_objective, optimal_q, q_derivatives
-from .distributions import (SURVIVOR_FLOOR, PriceWindow, check_ifr, gauss_legendre, golden_max, lambda_crit,
-                            linear_grid, scan)
+from .distributions import SURVIVOR_FLOOR, PriceWindow, check_ifr, golden_max, lambda_crit, linear_grid, scan
 from .exceptions import DomainError, SingularityError, UnboundedError
 from .heterogeneity import AttentionMixture, aggregate_loss, mps_pair
 from .market import Contract, cancel_mass, consumer_utility, inattentive_revenue, ir_slack, profit
@@ -26,6 +26,20 @@ from .solver import price_foc
 # A T difference of q* below this is not compared: a few ulps of q* in (1/2, 1), ~1e-15, exceed
 # the check's 1e-6 bound on it.
 DQ_RESOLUTION = 1e-9
+# The 32-node Gauss-Legendre rule on [-1, 1], numpy's leggauss(32) bitwise: its nodes are
+# symmetric and its weights even, so the nonnegative half of each is the rule.
+_GL_HALF_NODES = (
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+)
+_GL_HALF_WEIGHTS = (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+)
 
 
 class CheckResult(NamedTuple):
@@ -244,6 +258,15 @@ def run_invariant_checks(scenario: Scenario) -> list[CheckResult]:
                 return err <= 1e-5, f"rel err {err:.2e}"
 
     return checks
+
+
+@functools.cache
+def gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(nodes, weights) of a composite 32-node Gauss-Legendre rule on [0, 1] in three equal
+    panels, as float tuples."""
+    x = (*(-v for v in reversed(_GL_HALF_NODES)), *_GL_HALF_NODES)
+    w = (*reversed(_GL_HALF_WEIGHTS), *_GL_HALF_WEIGHTS)
+    return tuple((j + (v + 1.0) / 2.0) / 3.0 for j in range(3) for v in x), tuple(v / 6.0 for v in w) * 3
 
 
 def _total_mass(dist) -> float:

@@ -15,8 +15,10 @@ program that decide alike print the same lines, and the two routes of one
 version print the same counts and hash.  ``--write`` rewrites
 ``tests/golden/decisions.seed1.txt``, one line per seed-1 decision (index,
 mode, outcome, T and P in hex, sorted flags, or the exception type), which
-``test_decisions.py`` compares line by line.  pytest does not collect this
-file.
+``test_decisions.py`` compares line by line.  Before it rewrites the file it
+prints what the rewrite moves, per mode: the number of moved lines, each
+change of outcome or flags, the largest relative move of T and of P, and
+every moved line.  pytest does not collect this file.
 """
 
 import hashlib
@@ -56,6 +58,36 @@ def golden_lines(seed: int) -> list[str]:
     return lines
 
 
+def _relative(old: float, new: float) -> float:
+    return abs(new - old) / max(abs(old), abs(new)) if new != old else 0.0
+
+
+def moves(old: list[str], new: list[str]) -> list[str]:
+    """What replacing the golden lines ``old`` by ``new`` moves, per mode: a summary line, then
+    one line per moved decision, with the relative moves of T and P or its change of outcome or flags."""
+    before = {tuple(line.split()[:2]): line.split()[2:] for line in old}
+    after = {tuple(line.split()[:2]): line.split()[2:] for line in new}
+    every, report = before.keys() | after.keys(), []
+    for mode in sorted({mode for _, mode in every}):
+        keys = sorted((key for key in every if key[1] == mode), key=lambda key: int(key[0]))
+        lines, changed, largest_T, largest_P = [], 0, 0.0, 0.0
+        for key in keys:
+            was, now = before.get(key, ["absent"]), after.get(key, ["absent"])
+            if was == now:
+                continue
+            if was[0] == now[0] == "ok" and was[3:] == now[3:]:
+                T, P = (_relative(float.fromhex(was[j]), float.fromhex(now[j])) for j in (1, 2))
+                largest_T, largest_P = max(largest_T, T), max(largest_P, P)
+                lines.append(f"  {key[0]}: T {T:.2e}, P {P:.2e}")
+            else:
+                changed += 1
+                lines.append(f"  {key[0]}: {' '.join(was)} -> {' '.join(now)}")
+        report.append(f"{mode}: {len(lines)} of {len(keys)} lines moved, {changed} changed outcome or flags; "
+                      f"largest relative move of T {largest_T:.2e}, of P {largest_P:.2e}")
+        report += lines
+    return report
+
+
 def digest(seed: int) -> str:
     """The seed's line on the current scan route."""
     counts, sha = Counter(), hashlib.sha256()
@@ -85,7 +117,9 @@ def route_digests(seed: int) -> list[str]:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text("\n".join(golden_lines(1)) + "\n")
+        lines = golden_lines(1)
+        print("\n".join(moves(GOLDEN.read_text().splitlines() if GOLDEN.exists() else [], lines)), flush=True)
+        GOLDEN.write_text("\n".join(lines) + "\n")
     elif len(sys.argv) < 2:
         sys.exit(__doc__)
     else:

@@ -12,8 +12,8 @@ import pytest
 from oracles import best_price_by_points, scan_roots_by_points
 from subtrial import solver
 from subtrial.consumer import effective_lambda, locus_price, trial_terms
-from subtrial.distributions import (PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform, gauss_legendre,
-                                    geometric_grid, linear_grid)
+from subtrial.distributions import (GAMMA_SPLIT, PiecewiseIsoElastic, PriceWindow, TruncatedWeibull, Uniform,
+                                    _gamma_fraction, _gamma_series, geometric_grid, linear_grid)
 from subtrial.exceptions import DomainError, NoRootError
 from subtrial.market import cancel_mass
 from subtrial.solver import (SolverConfig, _best_price, _locus_x, _on_locus, _price_condition, _scan_roots,
@@ -132,6 +132,13 @@ class TestConsumerKernels:
 
     def test_locus_price_matches_scalar(self):
         assert_within_ulps(locus_price(self.X), [locus_price(float(x)) for x in self.X])
+
+    def test_locus_price_is_1_over_x_where_x_squared_overflows(self):
+        # above x ~1.34e154 the parent formula divided by an infinite x^2 and returned 0
+        x = np.array([1e150, 1e154, 1.4e154, 1e160, 1e300])
+        for pi in (locus_price(x), np.array([locus_price(float(v)) for v in x])):
+            assert np.allclose(pi * x, 1.0, rtol=1e-12, atol=0.0)
+        assert locus_price(1e160) == 1e-160 and parent_locus_price(1e160) == 0.0
 
     def test_other_terms_match_scalar(self):
         scalar = [trial_terms(float(x)) for x in self.X]
@@ -383,8 +390,9 @@ class TestPlainGrids:
 
 
 def weibull_per_call(dist, method: str, v):
-    """The truncated Weibull's methods with b = (1/s)^k and the mass 1 - e^-b formed at every
-    call: the reference for the constants the instance stores."""
+    """The truncated Weibull's methods with b = (1/s)^k, the mass 1 - e^-b and the surplus's
+    incomplete gamma values at b formed at every call: the reference for the constants the
+    instance stores."""
     mass = 1.0 - math.exp(-((1.0 / dist.s) ** dist.k))
     xp = np if isinstance(v, np.ndarray) else math
     pow_ = np.float_power if xp is np else math.pow
@@ -396,9 +404,21 @@ def weibull_per_call(dist, method: str, v):
     if method == "pdf":
         z = v / dist.s
         return (dist.k / dist.s) * pow_(z, dist.k - 1.0) * xp.exp(-pow_(z, dist.k)) / mass
-    nodes, weights = map(np.array, gauss_legendre())
-    a, b = ((v + (1.0 - v) * nodes) / dist.s) ** dist.k, (1.0 / dist.s) ** dist.k
-    return (1.0 - v) * float(weights @ (np.exp(-a) * -np.expm1(a - b))) / mass
+    p, b = 1.0 + 1.0 / dist.k, (1.0 / dist.s) ** dist.k
+    whole = dist.s * math.gamma(p)
+    if b < p + GAMMA_SPLIT:
+        lower = b * math.exp(-b) * _gamma_series(p, b)
+        upper = whole - lower
+    else:
+        upper = b * math.exp(-b) * _gamma_fraction(p, b)
+        lower = whole - upper
+    a = (v / dist.s) ** dist.k
+    e = math.exp(-a)
+    if a < p + GAMMA_SPLIT:
+        mean = lower - v * a * e * _gamma_series(p, a)
+    else:
+        mean = v * a * e * _gamma_fraction(p, a) - upper
+    return max(0.0, min((mean - v * e * -math.expm1(a - b)) / mass, 1.0 - v))
 
 
 def iso_per_call(dist, method: str, v):

@@ -6,19 +6,24 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from subtrial.distributions import (
+    GAMMA_TERMS,
     PiecewiseIsoElastic,
     PriceWindow,
     TruncatedWeibull,
     Uniform,
+    _gamma_fraction,
+    _gamma_series,
     check_ifr,
     from_spec,
     lambda_crit,
     window_max,
 )
-from subtrial.exceptions import DomainError, SingularityError
+from subtrial.exceptions import ConvergenceError, DomainError, SingularityError
 from subtrial.verify import _total_mass
 
 ISO = PiecewiseIsoElastic(kappa=0.3, eps=0.4, v0=0.2)
@@ -238,6 +243,12 @@ class TestConstruction:
         with pytest.raises(DomainError, match="overflows"):
             TruncatedWeibull(k=k, s=s)
 
+    @pytest.mark.parametrize("k,s", [(1.0, 1e17), (4.0, 1e80)])
+    def test_weibull_rejects_a_scale_whose_mass_rounds_to_zero(self, k, s):
+        # b = (1/s)^k is 1e-17, or the subnormal 1e-320: below ~1.1e-16, where 1 - e^-b rounds to 0
+        with pytest.raises(DomainError, match="rounds to 0"):
+            TruncatedWeibull(k=k, s=s)
+
     def test_from_spec_round_trip(self):
         for dist in FAMILIES:
             rebuilt = from_spec(dist.to_spec())
@@ -323,6 +334,56 @@ class TestSurplus:
     def test_rejects_out_of_range(self, dist):
         with pytest.raises(DomainError):
             dist.surplus(1.5)
+
+
+def weibull_grid(seed: int, n: int) -> list:
+    """n seeded Weibull draws over the benchmark's domain (k in [1, 4], s log-uniform in [0.2, 2]),
+    each with the prices 0, 1e-4, 1e-3, 0.01, a random one, 1 - 1e-4 and 1."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        dist = TruncatedWeibull(1.0 + 3.0 * rng.random(), 0.2 * 10.0 ** rng.random())
+        draws.append((dist, (0.0, 1e-4, 1e-3, 0.01, rng.random(), 1.0 - 1e-4, 1.0)))
+    return draws
+
+
+@st.composite
+def weibull_and_prices(draw):
+    """A truncated Weibull anywhere in its domain, k >= 1 and s > 0 with b = (1/s)^k finite and
+    the mass 1 - e^-b above 0, and two prices in [0, 1], the lower first.  k is drawn up to the
+    largest value those bounds allow at s: ln b = k ln(1/s) stays below 709 (b finite) and above
+    -36 (b above ~1e-16, where 1 - e^-b rounds to 0)."""
+    s = draw(st.floats(min_value=1e-300, max_value=1e15))
+    k_top = 1e300 if s == 1.0 else min(1e300, (709.0 if s < 1.0 else 36.0) / abs(math.log(s)))
+    k = 1.0 + draw(st.floats(min_value=0.0, max_value=1.0)) * (k_top - 1.0)
+    prices = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2)))
+    return TruncatedWeibull(k, s), *prices
+
+
+class TestWeibullSurplus:
+    """The closed form in the incomplete gamma function against mpmath's integral, and the bounds
+    and monotonicity of S over the whole domain."""
+
+    GRID = weibull_grid(seed=31, n=20)
+
+    @pytest.mark.parametrize("dist,prices", GRID, ids=[repr(dist) for dist, _ in GRID])
+    def test_within_1e14_of_mpmath(self, dist, prices):
+        with mp.workdps(30):
+            for P in prices:
+                assert abs(dist.surplus(P) - float(mp_surplus(dist, P))) <= 1e-14, P
+
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(weibull_and_prices())
+    def test_bounded_and_nonincreasing(self, case):
+        dist, lo, hi = case
+        S = dist.surplus(lo)
+        assert math.isfinite(S) and 0.0 <= S <= 1.0 - lo
+        assert S >= dist.surplus(hi) - 1e-15
+
+    @pytest.mark.parametrize("loop", [_gamma_series, _gamma_fraction])
+    def test_gamma_loops_raise_at_their_cap(self, loop):
+        with pytest.raises(ConvergenceError, match=f"in {GAMMA_TERMS} terms"):
+            loop(1.5, math.nan)
 
 
 class TestVerifyMassRoute:

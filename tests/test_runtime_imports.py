@@ -1,12 +1,10 @@
 """The runtime needs numpy for library scans only: importing the package and its CLI loads
-no scipy and no numpy, and a CLI command on a bundled scenario runs without numpy.  The one
-exception is a truncated Weibull's surplus, a numpy dot product: a command that reads it,
-such as a Weibull solve, loads numpy.  No module imports ``dataclasses``, and no command loads
-it or ``inspect``.  A command imports the experiment modules it runs, and a scenario's parse
+no scipy and no numpy, and no CLI command loads numpy, on a bundled scenario or on the
+truncated Weibull's.  No module imports ``dataclasses``, and no command loads it or
+``inspect``.  A command imports the experiment modules it runs, and a scenario's parse
 those its optional blocks need.  Modules share helpers by public name only."""
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -47,12 +45,14 @@ def test_cli_solve_and_verify_load_no_numpy(tmp_path):
     assert cli_calls_loading(calls, tmp_path / "out.csv") == ["0 []"] * len(calls)
 
 
-def test_a_weibull_solve_loads_numpy_for_its_surplus(tmp_path):
-    record = json.loads((ROOT / "scenarios" / "interior_uniform.json").read_text())
-    record["distribution"] = {"family": "trunc_weibull", "k": 2.0, "s": 0.5}
-    scenario = tmp_path / "weibull.json"
-    scenario.write_text(json.dumps(record))
-    assert cli_calls_loading([["solve", "--scenario", str(scenario)]], tmp_path / "out.csv") == ["0 ['numpy']"]
+def test_no_weibull_command_loads_numpy(tmp_path):
+    # the Weibull's surplus is a closed form in the incomplete gamma function: no command needs numpy
+    scenario = str(ROOT / "tests" / "scenarios" / "weibull_interior.json")
+    calls = [[command, "--scenario", scenario] for command in ("solve", "sweep", "policy", "paid", "hetero", "verify")]
+    calls.append(["solve", "--mode", "binding_ir", "--scenario", scenario])
+    lines = cli_calls_loading(calls, tmp_path / "out.csv")
+    # sweep, paid and hetero need blocks the scenario lacks, and exit 1 after its parse
+    assert lines == ["0 []", "1 []", "0 []", "1 []", "1 []", "0 []", "0 []"]
 
 
 def test_no_command_loads_dataclasses_or_inspect(tmp_path):

@@ -20,9 +20,10 @@ import pytest
 
 from subtrial import cli, distributions, scenario
 from subtrial.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION
-from subtrial.distributions import (argmax, argmax_bracket, check_ifr, gauss_legendre, geometric_grid, lambda_crit,
-                                    linear_grid, window_max)
+from subtrial.distributions import (argmax, argmax_bracket, check_ifr, geometric_grid, lambda_crit, linear_grid,
+                                    window_max)
 from subtrial.solver import _locus_x, _on_locus, _window_scan, _window_table, joint_optimum
+from subtrial.verify import gauss_legendre
 from test_array_scans import SCAN_DRAWS, bits, scan_lambdas
 from test_golden_csv import BINDING, BINDING_FAILS, GOLDEN, SCENARIOS, cli_pairs, run_binding, run_pair
 

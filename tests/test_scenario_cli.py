@@ -530,6 +530,23 @@ class TestScenarioDomain:
         assert capsys.readouterr().err.startswith("scenario error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,name", [("solve", "interior_uniform"), ("policy", "interior_uniform"),
+                                              ("paid", "paid_trial")])
+    def test_a_tiny_p_lo_solves_or_is_a_solver_error(self, tmp_path, capsys, command, name):
+        # near p_lo = 1e-160 the locus polish's values square to 0, and x^2 overflows on the locus
+        record = json.loads((SCENARIOS / f"{name}.json").read_text())
+        record["price_window"]["p_lo"] = 1e-160
+        code, _ = self.run(tmp_path, command, record)
+        assert code == 0 or (code == 2 and capsys.readouterr().err.startswith("solver error:"))
+
+    def test_p_lo_whose_reciprocal_overflows_exits_1(self, tmp_path, capsys):
+        record = json.loads((SCENARIOS / "interior_uniform.json").read_text())
+        record["price_window"]["p_lo"] = 5e-324
+        code, out = self.run(tmp_path, "solve", record)
+        assert code == 1
+        assert re.match(r"scenario error:.*1/p_lo overflows", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_iso_elastic_spec_without_kappa_is_a_scenario_error(self):
         record = json.loads((SCENARIOS / "policy_iso_elastic.json").read_text())
         del record["distribution"]["kappa"]

@@ -511,6 +511,11 @@ class TestPolish:
         f, lo, hi = POLISH_CASES["iso-kink-jump"]
         assert _polish(f, lo, hi, CFG)[0] == pytest.approx(ISO_CURVE.v0, abs=CFG.root_tol)
 
+    def test_bisects_where_the_radicand_underflows(self):
+        # values of order 1e-170: fm^2 and fa fb both underflow to 0, where Ridder's step would divide by 0
+        root, residual = _polish(lambda x: 1e-170 * (x - 0.3), 0.0, 1.0, CFG)
+        assert root == pytest.approx(0.3, abs=CFG.root_tol) and abs(residual) <= 1e-170 * CFG.root_tol
+
     @pytest.mark.parametrize("case", POLISH_CASES)
     def test_iteration_budget_matches_scipy(self, case):
         # the fewest iterations scipy needs are enough here too, one fewer raises
